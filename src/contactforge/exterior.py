@@ -161,15 +161,6 @@ class Form:
             {g: Poly.const(self.size, c.evaluate(point)) for g, c in self.terms.items()},
         )
 
-    def max_abs_constant(self) -> Fraction:
-        """Largest |coefficient| of a constant-coefficient form."""
-        best = Fraction(0)
-        for coeff in self.terms.values():
-            value = abs(coeff.constant_value())
-            if value > best:
-                best = value
-        return best
-
     def __repr__(self) -> str:
         if self.is_zero:
             return f"Form(0, degree={self.degree})"
@@ -432,11 +423,12 @@ def class_at_point(f: Form, point: dict[Var, Fraction]) -> int:
     alpha = f.evaluate_coefficients(point)
     dalpha = ext_d(f).evaluate_coefficients(point)
     best_p = 0
-    power = dalpha
+    last = power = dalpha
     while not power.is_zero:
         best_p += 1
+        last = power
         power = wedge(power, dalpha)
     if best_p == 0:
         return 0 if alpha.is_zero else 1
-    top = wedge(alpha, wedge_power(dalpha, best_p))
+    top = wedge(alpha, last)
     return 2 * best_p + 1 if not top.is_zero else 2 * best_p

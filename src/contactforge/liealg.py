@@ -3,12 +3,18 @@
 Two independent computations of the class are provided and cross-checked in
 the test suite: a linear-algebra route (rank of the bracket pairing matrix
 plus a row-space membership test) and a wedge route (constant-coefficient
-exterior algebra on the dual). Surveys draw seeded random covectors and score
-them against the classical bounds.
+exterior algebra on the dual). The wedge route shares no code with the rank
+route: it never calls linalg. It builds the divided powers
+(d alpha)^[k] = (d alpha)^k / k! over the integers in a single chain, one
+Pfaffian expansion step per power, and wedges alpha once with the last
+nonzero power; dividing by k! changes no coefficient from zero to nonzero or
+back, so the class is the one the plain powers give. Surveys draw seeded
+random covectors and score them against the classical bounds.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -278,30 +284,60 @@ def cartan_class(g: LieAlg, alpha: Covector) -> int:
     return r if member else r + 1
 
 
-def _mask_sign(m1: int, m2: int) -> int:
-    """Shuffle sign for merging two disjoint ascending generator bitmasks."""
-    parity = 0
-    mm = m2
-    while mm:
-        low = mm & -mm
-        parity ^= (m1 >> low.bit_length()).bit_count() & 1
-        mm ^= low
-    return -1 if parity else 1
+def _integer_forms(g: LieAlg, alpha: Covector) -> tuple[dict[int, int], dict[int, int]]:
+    """alpha and d(alpha) with integer coefficients; generator sets are bitmasks.
+
+    alpha is scaled by the lcm of its denominators and d(alpha) further by the
+    lcm of the structure-constant denominators. Bit i stands for e_{i+1}*.
+    """
+    coeffs = [Fraction(x) for x in alpha]
+    scale = math.lcm(*(x.denominator for x in coeffs))
+    coords = [x.numerator * (scale // x.denominator) for x in coeffs]
+    a_form = {1 << i: c for i, c in enumerate(coords) if c}
+    lcm = math.lcm(*(c.denominator for comp in g.brackets.values() for c in comp.values()))
+    d_alpha: dict[int, int] = {}
+    for (i, j), comp in g.brackets.items():
+        value = sum(coords[k - 1] * c.numerator * (lcm // c.denominator) for k, c in comp.items())
+        if value:
+            d_alpha[(1 << (i - 1)) | (1 << (j - 1))] = -value
+    return a_form, d_alpha
 
 
-def _cc_wedge(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
-    """Wedge of constant-coefficient forms; generator sets are bitmasks."""
+def _pairs_below(d_alpha: dict[int, int], dim: int) -> list[list[tuple[int, int, int]]]:
+    """below[t] lists (mask, high bit, coeff) of the terms of d(alpha) whose low index is < t."""
+    by_low: list[list[tuple[int, int, int]]] = [[] for _ in range(dim)]
+    for mask, c in d_alpha.items():
+        low = mask & -mask
+        by_low[low.bit_length() - 1].append((mask, mask ^ low, c))
+    below = [[]]
+    for pairs in by_low:
+        below.append(below[-1] + pairs)
+    return below
+
+
+def _next_divided_power(
+    power: dict[int, int], below: list[list[tuple[int, int, int]]]
+) -> dict[int, int]:
+    """omega^[k+1] from omega^[k], where omega^[k] = omega^k / k! and below = _pairs_below(omega).
+
+    The coefficient of e_S in omega^[k] is the Pfaffian of omega restricted to
+    S. A term e_i ^ e_j of omega meets a term e_T of omega^[k] only when i is
+    below every generator of T, which is the Pfaffian expansion of S = T + {i, j}
+    along its first index: each perfect matching is counted once. Moving e_j
+    into place passes the generators of T below j, which gives the sign.
+    """
     out: dict[int, int] = {}
-    for m1, c1 in f.items():
-        for m2, c2 in g.items():
-            if m1 & m2:
+    for mask, coeff in power.items():
+        for pair, high, c in below[(mask & -mask).bit_length() - 1]:
+            if mask & high:
                 continue
-            key = m1 | m2
-            acc = out.get(key, 0) + _mask_sign(m1, m2) * c1 * c2
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            value = c * coeff
+            if (mask & (high - 1)).bit_count() & 1:
+                value = -value
+            key = mask | pair
+            out[key] = out.get(key, 0) + value
+    for key in [key for key, v in out.items() if not v]:
+        del out[key]
     return out
 
 
@@ -310,45 +346,43 @@ def cartan_class_wedge(g: LieAlg, alpha: Covector) -> int:
 
     d(alpha) = -sum_{i<j} alpha([e_i, e_j]) e_i* ^ e_j*; the class is 2p+1 when
     alpha ^ (d alpha)^p survives at the largest p with (d alpha)^p nonzero,
-    else 2p. Independent of cartan_class by construction. The class is
-    invariant under scaling, so denominators are cleared up front and all
-    wedge arithmetic runs over the integers.
+    else 2p. The class is invariant under scaling, so denominators are cleared
+    up front and all wedge arithmetic runs over the integers.
+
+    The powers are taken as divided powers (d alpha)^[k] = (d alpha)^k / k!,
+    whose coefficients are the Pfaffians of the principal 2k-minors of the
+    coefficient matrix of d alpha. Over the rationals k! is a unit, so
+    (d alpha)^[k] vanishes exactly when (d alpha)^k does, and alpha ^ (d alpha)^[p]
+    exactly when alpha ^ (d alpha)^p does. Each step counts every perfect
+    matching once instead of k+1 times (see _next_divided_power), and the
+    chain is built once: the last nonzero power is kept for the final wedge
+    with alpha. The route uses neither linalg nor a rank, so it stays
+    independent of cartan_class, which the tests cross-check it against.
     """
     if len(alpha) != g.dim:
         raise InvalidAlgebraError(f"covector length {len(alpha)} != dim {g.dim}")
-    scale = 1
-    for x in alpha:
-        d = Fraction(x).denominator
-        scale = scale // _int_gcd(scale, d) * d
-    coords = [int(Fraction(x) * scale) for x in alpha]
-    a_form = {1 << i: c for i, c in enumerate(coords) if c}
+    a_form, d_alpha = _integer_forms(g, alpha)
     if not a_form:
         return 0
-    lcm = 1
-    for comp in g.brackets.values():
-        for c in comp.values():
-            d = Fraction(c).denominator
-            lcm = lcm // _int_gcd(lcm, d) * d
-    d_alpha: dict[int, int] = {}
-    for (i, j), comp in g.brackets.items():
-        value = sum(coords[k - 1] * Fraction(c) * lcm for k, c in comp.items())
-        if value:
-            d_alpha[(1 << (i - 1)) | (1 << (j - 1))] = -int(value)
+    below = _pairs_below(d_alpha, g.dim)
     best_p = 0
+    last = {0: 1}
     power = d_alpha
     while power:
         best_p += 1
-        power = _cc_wedge(power, d_alpha)
-    top = a_form
-    for _ in range(best_p):
-        top = _cc_wedge(top, d_alpha)
-    return 2 * best_p + 1 if top else 2 * best_p
-
-
-def _int_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a > 0 else -a
+        last = power
+        power = _next_divided_power(power, below)
+    # alpha ^ last: moving e_a into place passes the generators of the term below a
+    top: dict[int, int] = {}
+    for mask, coeff in last.items():
+        for bit, a in a_form.items():
+            if mask & bit:
+                continue
+            value = a * coeff
+            if (mask & (bit - 1)).bit_count() & 1:
+                value = -value
+            top[mask | bit] = top.get(mask | bit, 0) + value
+    return 2 * best_p + 1 if any(top.values()) else 2 * best_p
 
 
 # -- surveys -------------------------------------------------------------------

@@ -7,6 +7,7 @@ touches floating point.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Mat = list[list[Fraction]]
@@ -18,12 +19,19 @@ def identity(n: int) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    rows, inner, cols = len(a), len(b), len(b[0])
+    """Product A B, accumulated row by row over the nonzero entries only."""
+    inner, cols = len(b), len(b[0])
     assert all(len(r) == inner for r in a)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
-        for i in range(rows)
-    ]
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * cols
+        for x, row_b in zip(row, b):
+            if x:
+                for j, y in enumerate(row_b):
+                    if y:
+                        acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def transpose(a: Mat) -> Mat:
@@ -88,23 +96,14 @@ def _int_rank(m: list[list[int]]) -> int:
 
 
 def rank(a: Mat) -> int:
+    """Exact rank; each row is scaled by the lcm of its denominators to integers."""
     if not a:
         return 0
     scaled = []
     for row in a:
-        denom_lcm = 1
-        for x in row:
-            d = Fraction(x).denominator
-            g = _gcd(denom_lcm, d)
-            denom_lcm = denom_lcm // g * d
-        scaled.append([int(Fraction(x) * denom_lcm) for x in row])
+        lcm = math.lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (lcm // x.denominator) for x in row])
     return _int_rank(scaled)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a > 0 else -a
 
 
 def solve(a: Mat, b: Vec) -> Vec | None:

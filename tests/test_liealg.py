@@ -1,5 +1,6 @@
 """Lie algebras, Cartan classes and surveys."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from contactforge.liealg import (
     sl_algebra,
     so_algebra,
 )
-from contactforge import linalg
+from contactforge import liealg, linalg
 
 F = Fraction
 
@@ -204,3 +205,59 @@ def test_sl4_diagonal_sum_audit():
 
     rng = random.Random(77)
     assert max(cartan_class(g, random_covector(g, rng)) for _ in range(20)) == 13
+
+
+def _plain_wedge(f, g):
+    """Reference wedge of constant forms keyed by bitmask: every term with every term."""
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            if m1 & m2:
+                continue
+            # each generator of m2 passes the generators of m1 above it
+            swaps = sum((m1 >> (b + 1)).bit_count() for b in range(m2.bit_length()) if m2 >> b & 1)
+            out[m1 | m2] = out.get(m1 | m2, 0) + (-1) ** swaps * c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def test_divided_powers_times_factorial_equal_plain_powers():
+    rng = random.Random(41)
+    for g in (sl_algebra(4), so_algebra(6)):
+        for alpha in (
+            random_covector(g, rng),
+            tuple(F(rng.randint(-9, 9)) if k in (0, 3, 7, 12) else F(0) for k in range(g.dim)),
+        ):
+            _, d_alpha = liealg._integer_forms(g, alpha)
+            below = liealg._pairs_below(d_alpha, g.dim)
+            divided, plain, k = d_alpha, d_alpha, 1
+            while plain:
+                assert {m: c * math.factorial(k) for m, c in divided.items()} == plain
+                divided = liealg._next_divided_power(divided, below)
+                plain = _plain_wedge(plain, d_alpha)
+                k += 1
+            assert divided == {}
+            assert k > 1
+
+
+def test_routes_agree_on_rational_covectors_and_fractional_constants(tmp_path):
+    # sl(3) on the rescaled basis e_i' = s_i e_i: [e_i', e_j'] = sum c s_i s_j / s_k e_k'
+    base = sl_algebra(3)
+    rng = random.Random(43)
+    s = [F(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(base.dim)]
+    lines = [f"dim {base.dim}"]
+    for (i, j), comp in sorted(base.brackets.items()):
+        for k, v in sorted(comp.items()):
+            lines.append(f"{i} {j} {k} {v * s[i - 1] * s[j - 1] / s[k - 1]}")
+    path = tmp_path / "sl3_scaled.alg"
+    path.write_text("\n".join(lines) + "\n")
+    scaled = build_algebra(f"file:{path}")
+    assert any(c.denominator > 1 for comp in scaled.brackets.values() for c in comp.values())
+    for g in (scaled, sl_algebra(4), so_algebra(5), heisenberg_algebra(7)):
+        for _ in range(8):
+            alpha = tuple(F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(g.dim))
+            assert cartan_class(g, alpha) == cartan_class_wedge(g, alpha)
+    for _ in range(8):
+        # alpha'(e_i') = s_i alpha(e_i) is the same form, so the class is the same
+        alpha = tuple(F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(base.dim))
+        moved = tuple(a * si for a, si in zip(alpha, s))
+        assert cartan_class_wedge(scaled, moved) == cartan_class_wedge(base, alpha)

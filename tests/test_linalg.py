@@ -69,3 +69,44 @@ def test_in_row_space():
     m = [[Fraction(1), Fraction(0), Fraction(2)], [Fraction(0), Fraction(1), Fraction(-1)]]
     assert linalg.in_row_space(m, [Fraction(2), Fraction(3), Fraction(1)])
     assert not linalg.in_row_space(m, [Fraction(0), Fraction(0), Fraction(1)])
+
+
+def _mixed_matrix(rng, rows, cols):
+    """Zeros, plain ints and Fractions with assorted denominators."""
+    pick = (
+        lambda: 0,
+        lambda: rng.randint(-5, 5),
+        lambda: Fraction(rng.randint(-7, 7), rng.choice((1, 2, 3, 5, 7, 12))),
+    )
+    return [[rng.choice(pick)() for _ in range(cols)] for _ in range(rows)]
+
+
+def test_mat_mul_equals_dense_triple_sum():
+    rng = random.Random(17)
+    for _ in range(60):
+        rows, inner, cols = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, b = _mixed_matrix(rng, rows, inner), _mixed_matrix(rng, inner, cols)
+        product = linalg.mat_mul(a, b)
+        dense = [
+            [sum((Fraction(a[i][k]) * b[k][j] for k in range(inner)), Fraction(0))
+             for j in range(cols)]
+            for i in range(rows)
+        ]
+        assert product == dense
+        assert all(type(x) is Fraction for row in product for x in row)
+
+
+def test_rank_with_mixed_denominators_and_zero_rows():
+    rng = random.Random(19)
+    for _ in range(100):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = _mixed_matrix(rng, rows, cols)
+        for k in range(rows):
+            roll = rng.random()
+            if roll < 0.2:
+                m[k] = [0] * cols
+            elif roll < 0.5 and k >= 2:  # a rational combination of two earlier rows
+                u, v = Fraction(rng.randint(-3, 3), rng.randint(1, 5)), rng.randint(-2, 2)
+                m[k] = [u * x + v * y for x, y in zip(m[0], m[1])]
+        assert linalg.rank(m) == len(linalg.rref(m)[1])
+    assert linalg.rank([[0, 0], [Fraction(0), 0]]) == 0
