@@ -145,6 +145,23 @@ def inverse(a: Mat) -> Mat | None:
     return [row[n:] for row in red]
 
 
+def residual(red: Mat, pivots: list[int], v: Vec) -> Vec:
+    """v minus the combination of the rows of an rref that agrees with v on the pivots.
+
+    `red, pivots` is the output of rref(A). Each pivot row has 1 in its pivot
+    column and 0 in the others, so reducing v by the rows in turn leaves a
+    vector that is zero exactly when v lies in the row space of A. Eliminate
+    A once with rref and call this for every vector to be tested.
+    """
+    out = list(v)
+    for row, c in zip(red, pivots):
+        f = out[c]
+        if f:
+            out = [x - f * y for x, y in zip(out, row)]
+    return out
+
+
 def in_row_space(a: Mat, v: Vec) -> bool:
-    """True if v is a rational combination of the rows of A."""
-    return solve(transpose(a), v) is not None
+    """True if v is a rational combination of the rows of A (one rref, then residual)."""
+    red, pivots = rref(a)
+    return not any(residual(red, pivots, v))

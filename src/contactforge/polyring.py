@@ -1,84 +1,191 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 Variables are the entries a[r,c] of an ambient n x n coordinate matrix,
-identified by 1-based (row, col) pairs. A monomial is a sorted tuple of
-(row, col, exponent) triples with positive exponents; coefficients are
-fractions.Fraction. Polynomials are immutable after construction and two
-polynomials are equal iff their term maps coincide, so all comparisons in the
-symbolic layer are exact.
+identified by 1-based (row, col) pairs. Polynomials are immutable after
+construction and two polynomials are equal iff their term maps coincide, so
+all comparisons in the symbolic layer are exact.
 
-The canonical term order is graded, then lexicographic on the row-major
-variable sequence. That order drives leading-term selection in division and
-the deterministic ordering used by the serializers.
+Monomials are packed into one int (after Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007). Each ambient size n has one layout of n*n + 1 fields of 8 bits: the
+total degree is the most significant field, then the exponents of a[1,1],
+a[1,2], ..., a[n,n] in row-major order. The layout is built on first use.
+  * Multiplying monomials is integer addition, and the canonical term order
+    (graded, then lexicographic on the row-major variable sequence) is plain
+    int comparison; it drives leading-term selection in division and the
+    deterministic ordering used by the serializers.
+  * The top bit of every field is a guard bit, so exponents and the total
+    degree are at most MAX_DEGREE = 127. A product that could pass the
+    bound raises TermLimitError before any field overflows. With G the mask
+    of guard bits, lt divides m iff ((m | G) - lt) & G == G.
+A coefficient is an int when it is integral and a fractions.Fraction
+otherwise; str() renders both alike, so reports do not depend on the
+representation. constant_value() and evaluate() always return Fraction.
+
+The tuple form of a monomial, a row-major sorted tuple of (row, col,
+exponent) triples with positive exponents, is what the constructor accepts
+and what `terms`, `sorted_terms` and `leading_term` return.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import reduce
+from heapq import heapify, heappop, heappush
+from operator import or_
 
 from . import config
-from .errors import DimensionError, IncompleteAssignmentError
+from .errors import DimensionError, IncompleteAssignmentError, TermLimitError
 
 Var = tuple[int, int]
 Monomial = tuple[tuple[int, int, int], ...]
 
 MONOMIAL_ONE: Monomial = ()
+MAX_DEGREE = 127
 
 Scalar = (int, Fraction)
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(e for _, _, e in m)
+class _Layout:
+    """Packing of the monomials over one ambient size."""
+
+    __slots__ = ("size", "degree_shift", "guard", "vars", "shift")
+
+    def __init__(self, size: int):
+        count = size * size
+        self.size = size
+        self.degree_shift = 8 * count
+        self.guard = int.from_bytes(b"\x80" * (count + 1), "big")
+        self.vars = [(r, c) for r in range(1, size + 1) for c in range(1, size + 1)]
+        self.shift = {var: 8 * (count - 1 - i) for i, var in enumerate(self.vars)}
+
+    def exponents(self, m: int) -> bytes:
+        """Byte i + 1 is the exponent of the i-th row-major variable; byte 0 the degree."""
+        return m.to_bytes(len(self.vars) + 1, "big")
+
+    def decode(self, m: int) -> Monomial:
+        return tuple((r, c, e) for (r, c), e in zip(self.vars, self.exponents(m)[1:]) if e)
+
+    def encode(self, mono) -> int:
+        packed = degree = 0
+        for r, c, e in mono:
+            shift = self.shift.get((r, c))
+            if shift is None:
+                raise DimensionError(f"variable a[{r},{c}] outside {self.size}x{self.size} matrix")
+            if e < 0:
+                raise ValueError(f"negative exponent in monomial {mono}")
+            packed += e << shift
+            degree += e
+        if degree > MAX_DEGREE:
+            raise TermLimitError(f"monomial degree {degree} exceeds {MAX_DEGREE}")
+        return packed + (degree << self.degree_shift)
+
+    def variables(self, m: int) -> set[Var]:
+        return {var for var, e in zip(self.vars, self.exponents(m)[1:]) if e}
 
 
-def monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps: dict[Var, int] = {(r, c): e for r, c, e in m1}
-    for r, c, e in m2:
-        exps[(r, c)] = exps.get((r, c), 0) + e
-    return tuple((r, c, e) for (r, c), e in sorted(exps.items()))
+_LAYOUTS: dict[int, _Layout] = {}
 
 
-def monomial_divides(m1: Monomial, m2: Monomial) -> bool:
-    """True if m1 divides m2."""
-    have = {(r, c): e for r, c, e in m2}
-    return all(have.get((r, c), 0) >= e for r, c, e in m1)
+def _layout(size: int) -> _Layout:
+    lay = _LAYOUTS.get(size)
+    if lay is None:
+        lay = _LAYOUTS[size] = _Layout(size)
+    return lay
 
 
-def monomial_quotient(m2: Monomial, m1: Monomial) -> Monomial:
-    """m2 / m1, assuming divisibility."""
-    exps = {(r, c): e for r, c, e in m2}
-    for r, c, e in m1:
-        exps[(r, c)] -= e
-    return tuple((r, c, e) for (r, c), e in sorted(exps.items()) if e > 0)
+def _coeff(value) -> int | Fraction:
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
-def grlex_key(m: Monomial) -> tuple:
-    # Graded, then lexicographic with earlier row-major variables weighing
-    # more. Sparse encoding: compare (var, -exp) pairs so that a higher power
-    # of an earlier variable sorts as the larger monomial under reverse=True.
-    return (monomial_degree(m), tuple((-r, -c, e) for r, c, e in m))
+def _normalize(terms: dict) -> bool:
+    """Turn integral Fraction coefficients into ints in place; True if a Fraction is left."""
+    frac = False
+    for m, c in terms.items():
+        if type(c) is not int:
+            if c.denominator == 1:
+                terms[m] = c.numerator
+            else:
+                frac = True
+    return frac
+
+
+def _poly(size: int, terms: dict, frac: bool) -> "Poly":
+    p = object.__new__(Poly)
+    p.size = size
+    p._terms = terms
+    p._frac = frac
+    p._view = None
+    return p
+
+
+class TermView(Mapping):
+    """Read-only tuple-monomial view of a Poly's terms; len() does not decode."""
+
+    __slots__ = ("_terms", "_size")
+
+    def __init__(self, terms: dict, size: int):
+        self._terms = terms
+        self._size = size
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __iter__(self):
+        return map(_layout(self._size).decode, self._terms)
+
+    def __getitem__(self, mono):
+        try:
+            return self._terms[_layout(self._size).encode(mono)]
+        except (DimensionError, TermLimitError, ValueError, TypeError):
+            raise KeyError(mono) from None
+
+    def items(self):
+        decode = _layout(self._size).decode
+        return [(decode(m), c) for m, c in self._terms.items()]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        if len(other) != len(self._terms):
+            return False
+        encode = _layout(self._size).encode
+        try:
+            encoded = {encode(m): c for m, c in other.items()}
+        except (DimensionError, TermLimitError, ValueError, TypeError):
+            return False
+        return encoded == self._terms
 
 
 class Poly:
     """Polynomial in the entries of an n x n coordinate matrix."""
 
-    __slots__ = ("size", "terms")
+    __slots__ = ("size", "_terms", "_frac", "_view")
 
-    def __init__(self, size: int, terms: dict[Monomial, Fraction] | None = None):
+    def __init__(self, size: int, terms: Mapping[Monomial, Fraction] | None = None):
         if size < 1:
             raise DimensionError(f"ambient matrix size must be >= 1, got {size}")
         self.size = size
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[int, int | Fraction] = {}
         if terms:
+            lay = _layout(size)
             for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = _coeff(coeff)
                 if coeff:
-                    clean[mono] = coeff
-        self.terms = clean
+                    key = lay.encode(mono)
+                    acc = clean.get(key, 0) + coeff
+                    if acc:
+                        clean[key] = acc
+                    else:
+                        del clean[key]
+        self._terms = clean
+        self._frac = _normalize(clean)
+        self._view = None
 
     # -- constructors ------------------------------------------------------
 
@@ -88,51 +195,56 @@ class Poly:
 
     @classmethod
     def const(cls, size: int, value) -> "Poly":
-        return cls(size, {MONOMIAL_ONE: Fraction(value)})
+        if size < 1:
+            raise DimensionError(f"ambient matrix size must be >= 1, got {size}")
+        value = _coeff(value)
+        return _poly(size, {0: value} if value else {}, type(value) is not int)
 
     @classmethod
     def variable(cls, size: int, row: int, col: int) -> "Poly":
         if not (1 <= row <= size and 1 <= col <= size):
             raise DimensionError(f"variable a[{row},{col}] outside {size}x{size} matrix")
-        return cls(size, {((row, col, 1),): Fraction(1)})
+        return cls(size, {((row, col, 1),): 1})
 
     # -- predicates and views ----------------------------------------------
 
     @property
+    def terms(self) -> TermView:
+        """The terms as a read-only {tuple monomial: coefficient} mapping."""
+        view = self._view
+        if view is None:
+            view = self._view = TermView(self._terms, self.size)
+        return view
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     @property
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and MONOMIAL_ONE in self.terms)
+        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     def constant_value(self) -> Fraction:
         if self.is_zero:
             return Fraction(0)
         if not self.is_constant:
             raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms[MONOMIAL_ONE]
-
-    def total_degree(self) -> int:
-        if self.is_zero:
-            return 0
-        return max(monomial_degree(m) for m in self.terms)
+        return Fraction(self._terms[0])
 
     def variables(self) -> set[Var]:
-        out: set[Var] = set()
-        for m in self.terms:
-            out.update((r, c) for r, c, _ in m)
-        return out
+        return _layout(self.size).variables(reduce(or_, self._terms, 0))
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, int | Fraction]]:
         """Terms in canonical (descending graded row-major lex) order."""
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+        decode = _layout(self.size).decode
+        terms = self._terms
+        return [(decode(m), terms[m]) for m in sorted(terms, reverse=True)]
 
-    def leading_term(self) -> tuple[Monomial, Fraction]:
+    def leading_term(self) -> tuple[Monomial, int | Fraction]:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
-        mono = max(self.terms, key=grlex_key)
-        return mono, self.terms[mono]
+        mono = max(self._terms)
+        return _layout(self.size).decode(mono), self._terms[mono]
 
     # -- ring operations -----------------------------------------------------
 
@@ -141,34 +253,39 @@ class Poly:
             raise DimensionError(f"ambient sizes differ: {self.size} vs {other.size}")
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Scalar):
+        if not isinstance(other, Poly) and isinstance(other, Scalar):
             other = Poly.const(self.size, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.size == other.size and self.terms == other.terms
+        return self.size == other.size and self._terms == other._terms
 
     __hash__ = None
 
     def __add__(self, other) -> "Poly":
-        if isinstance(other, Scalar):
+        if not isinstance(other, Poly) and isinstance(other, Scalar):
             other = Poly.const(self.size, other)
         self._check_size(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono, Fraction(0)) + coeff
+        small, big = self._terms, other._terms
+        if len(small) > len(big):
+            small, big = big, small
+        out = dict(big)
+        get = out.get
+        for m, c in small.items():
+            acc = get(m, 0) + c
             if acc:
-                out[mono] = acc
+                out[m] = acc
             else:
-                out.pop(mono, None)
-        return Poly(self.size, out)
+                del out[m]
+        frac = (self._frac or other._frac) and _normalize(out)
+        return _poly(self.size, out, frac)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.size, {m: -c for m, c in self.terms.items()})
+        return _poly(self.size, {m: -c for m, c in self._terms.items()}, self._frac)
 
     def __sub__(self, other) -> "Poly":
-        if isinstance(other, Scalar):
+        if not isinstance(other, Poly) and isinstance(other, Scalar):
             other = Poly.const(self.size, other)
         return self + (-other)
 
@@ -176,23 +293,42 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, Scalar):
-            value = Fraction(other)
+        if not isinstance(other, Poly) and isinstance(other, Scalar):
+            value = _coeff(other)
             if not value:
                 return Poly.zero(self.size)
-            return Poly(self.size, {m: c * value for m, c in self.terms.items()})
+            out = {m: c * value for m, c in self._terms.items()}
+            frac = (self._frac or type(value) is not int) and _normalize(out)
+            return _poly(self.size, out, frac)
         self._check_size(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = monomial_mul(m1, m2)
-                acc = out.get(key, Fraction(0)) + c1 * c2
+        # the shorter factor drives the outer loop; the budget is checked
+        # after every row, so a product holds at most the budget plus the
+        # longer factor's terms
+        small, big = self._terms, other._terms
+        if len(small) > len(big):
+            small, big = big, small
+        if not small:
+            return Poly.zero(self.size)
+        shift = _layout(self.size).degree_shift
+        degree = (max(small) >> shift) + (max(big) >> shift)
+        if degree > MAX_DEGREE:
+            raise TermLimitError(f"polynomial product of degree {degree} exceeds {MAX_DEGREE}")
+        limit = config.get_max_terms()
+        out: dict[int, int | Fraction] = {}
+        get = out.get
+        row = list(big.items())
+        for m1, c1 in small.items():
+            for m2, c2 in row:
+                key = m1 + m2
+                acc = get(key, 0) + c1 * c2
                 if acc:
                     out[key] = acc
                 else:
-                    out.pop(key, None)
-        config.check_budget(len(out), "polynomial product")
-        return Poly(self.size, out)
+                    del out[key]
+            if len(out) > limit:
+                raise TermLimitError(f"polynomial product reached {len(out)} terms (budget {limit})")
+        frac = (self._frac or other._frac) and _normalize(out)
+        return _poly(self.size, out, frac)
 
     __rmul__ = __mul__
 
@@ -214,37 +350,41 @@ class Poly:
 
     def diff(self, var: Var) -> "Poly":
         """Partial derivative with respect to a[r,c]."""
-        row, col = var
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            for i, (r, c, e) in enumerate(mono):
-                if (r, c) == (row, col):
-                    rest = list(mono)
-                    if e == 1:
-                        del rest[i]
-                    else:
-                        rest[i] = (r, c, e - 1)
-                    key = tuple(rest)
-                    acc = out.get(key, Fraction(0)) + coeff * e
-                    if acc:
-                        out[key] = acc
-                    else:
-                        out.pop(key, None)
-                    break
-        return Poly(self.size, out)
+        lay = _layout(self.size)
+        shift = lay.shift.get(var)
+        if shift is None:
+            return Poly.zero(self.size)
+        # m -> m - unit is injective, so no two terms land on one monomial
+        unit = (1 << lay.degree_shift) + (1 << shift)
+        out = {}
+        for m, c in self._terms.items():
+            e = (m >> shift) & 0xFF
+            if e:
+                out[m - unit] = c * e
+        frac = self._frac and _normalize(out)
+        return _poly(self.size, out, frac)
 
     def evaluate(self, assignment: dict[Var, Fraction]) -> Fraction:
         """Exact value at a rational point; every occurring variable must be assigned."""
-        missing = self.variables() - set(assignment)
+        lay = _layout(self.size)
+        used = [i for i, e in enumerate(lay.exponents(reduce(or_, self._terms, 0))) if e and i]
+        missing = [lay.vars[i - 1] for i in used if lay.vars[i - 1] not in assignment]
         if missing:
-            raise IncompleteAssignmentError(f"no value for variables {sorted(missing)}")
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            value = coeff
-            for r, c, e in mono:
-                value *= Fraction(assignment[(r, c)]) ** e
-            total += value
-        return total
+            raise IncompleteAssignmentError(f"no value for variables {missing}")
+        values = [Fraction(assignment[lay.vars[i - 1]]) for i in used]
+        # scale the point to integers by the lcm of its denominators and sum
+        # the terms of each degree k over the integers; divide by denom^k once
+        denom = math.lcm(*(x.denominator for x in values))
+        scaled = {i: x.numerator * (denom // x.denominator) for i, x in zip(used, values)}
+        by_degree: dict[int, int | Fraction] = {}
+        for m, coeff in self._terms.items():
+            exps = lay.exponents(m)
+            for i in used:
+                e = exps[i]
+                if e:
+                    coeff *= scaled[i] ** e
+            by_degree[exps[0]] = by_degree.get(exps[0], 0) + coeff
+        return sum((Fraction(s) / denom ** k for k, s in by_degree.items()), Fraction(0))
 
     # -- display -------------------------------------------------------------
 
@@ -277,20 +417,17 @@ def symbolic_matrix(size: int) -> list[list[Poly]]:
     ]
 
 
-def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:
-    """Fraction-free Bareiss determinant; rows are scaled to integers first."""
+def _bareiss_det(rows: list[list[int | Fraction]]) -> Fraction:
+    """Fraction-free Bareiss determinant; each row is scaled by the lcm of its denominators."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    scale = Fraction(1)
+    scale = 1
     m: list[list[int]] = []
     for row in rows:
-        denom_lcm = 1
-        for x in row:
-            f = Fraction(x)
-            denom_lcm = denom_lcm * f.denominator // _gcd(denom_lcm, f.denominator)
-        scale /= denom_lcm
-        m.append([int(Fraction(x) * denom_lcm) for x in row])
+        lcm = math.lcm(*(x.denominator for x in row))
+        scale *= lcm
+        m.append([x.numerator * (lcm // x.denominator) for x in row])
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -307,13 +444,7 @@ def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return scale * sign * m[n - 1][n - 1]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a > 0 else -a
+    return Fraction(sign * m[n - 1][n - 1], scale)
 
 
 def _cofactor_det(mat: list[list[Poly]], rows: tuple[int, ...], cols: tuple[int, ...],
@@ -354,7 +485,7 @@ def determinant(mat: list[list[Poly]]) -> Poly:
     if any(entry.size != size for row in mat for entry in row):
         raise DimensionError("matrix entries live over different ambient sizes")
     if all(entry.is_constant for row in mat for entry in row):
-        value = _bareiss_det([[e.constant_value() for e in row] for row in mat])
+        value = _bareiss_det([[e._terms.get(0, 0) for e in row] for row in mat])
         return Poly.const(size, value)
     idx = tuple(range(n))
     return _cofactor_det(mat, idx, idx, {})
@@ -381,37 +512,52 @@ def divmod_principal(p: Poly, f: Poly) -> tuple[Poly, Poly]:
     """Multivariate division of p by the single divisor f: returns (q, r).
 
     Uses the graded row-major lex order. For a single divisor the remainder
-    is unique, and r = 0 iff p lies in the principal ideal (f).
+    is unique, and r = 0 iff p lies in the principal ideal (f). The working
+    terms sit in a heap of packed monomials; every term subtracted is below
+    the one being divided, so a monomial is never divided twice, and heap
+    entries whose term cancelled are skipped when popped.
     """
     if f.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if p.size != f.size:
         raise DimensionError(f"ambient sizes differ: {p.size} vs {f.size}")
-    lt_mono, lt_coeff = f.leading_term()
-    quotient: dict[Monomial, Fraction] = {}
-    remainder: dict[Monomial, Fraction] = {}
-    work = dict(p.terms)
-    while work:
-        mono = max(work, key=grlex_key)
-        coeff = work.pop(mono)
-        if monomial_divides(lt_mono, mono):
-            qm = monomial_quotient(mono, lt_mono)
-            qc = coeff / lt_coeff
-            quotient[qm] = quotient.get(qm, Fraction(0)) + qc
-            # subtract qc * qm * f; the leading product cancels mono, which
-            # was already popped, so it is skipped here
-            for fm, fc in f.terms.items():
-                if fm == lt_mono:
-                    continue
-                key = monomial_mul(qm, fm)
-                acc = work.get(key, Fraction(0)) - qc * fc
+    guard = _layout(p.size).guard
+    lt = max(f._terms)
+    lc = f._terms[lt]
+    tail = [(m, c) for m, c in f._terms.items() if m != lt]
+    quotient: dict[int, int | Fraction] = {}
+    remainder: dict[int, int | Fraction] = {}
+    work = dict(p._terms)
+    heap = [-m for m in work]
+    heapify(heap)
+    while heap:
+        mono = -heappop(heap)
+        coeff = work.pop(mono, 0)
+        if not coeff:
+            continue
+        if ((mono | guard) - lt) & guard != guard:
+            remainder[mono] = coeff
+            continue
+        qm = mono - lt
+        if type(coeff) is int and type(lc) is int:
+            qc = coeff // lc if coeff % lc == 0 else Fraction(coeff, lc)
+        else:
+            qc = coeff / lc
+        quotient[qm] = qc
+        for fm, fc in tail:
+            key = qm + fm
+            acc = work.get(key)
+            if acc is None:
+                work[key] = -qc * fc
+                heappush(heap, -key)
+            else:
+                acc -= qc * fc
                 if acc:
                     work[key] = acc
                 else:
-                    work.pop(key, None)
-        else:
-            remainder[mono] = remainder.get(mono, Fraction(0)) + coeff
-    return Poly(p.size, quotient), Poly(p.size, remainder)
+                    del work[key]
+    return (_poly(p.size, quotient, _normalize(quotient)),
+            _poly(p.size, remainder, _normalize(remainder)))
 
 
 def reduce_mod_principal(p: Poly, f: Poly) -> Poly:

@@ -817,7 +817,8 @@ def h_algebra(p: int) -> SubalgebraResult:
     dim = len(basis)
     rep.check("dim h = p(2p+1)", dim, p * (2 * p + 1), "claimed")
 
-    span_rows = kernel
+    # eliminate the span once; each commutator is then reduced by its pivot rows
+    span, pivots = linalg.rref(kernel)
     closed = True
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -825,7 +826,7 @@ def h_algebra(p: int) -> SubalgebraResult:
                 linalg.mat_mul(basis[i], basis[j]), linalg.mat_mul(basis[j], basis[i])
             )
             vec = [comm[r][c] for r in range(n) for c in range(n)]
-            if not linalg.in_row_space(span_rows, vec):
+            if any(linalg.residual(span, pivots, vec)):
                 closed = False
     rep.check("h is closed under the matrix bracket", closed, True, "derived")
 

@@ -110,3 +110,22 @@ def test_rank_with_mixed_denominators_and_zero_rows():
                 m[k] = [u * x + v * y for x, y in zip(m[0], m[1])]
         assert linalg.rank(m) == len(linalg.rref(m)[1])
     assert linalg.rank([[0, 0], [Fraction(0), 0]]) == 0
+
+
+def test_residual_after_one_rref_agrees_with_solving_the_transpose():
+    rng = random.Random(23)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        m = rand_matrix(rng, rows, cols)
+        if rows > 2:  # rank deficiency
+            m[-1] = [2 * x - y for x, y in zip(m[0], m[1])]
+        red, pivots = linalg.rref(m)
+        for _ in range(4):
+            if rng.random() < 0.5:  # a combination of the rows, or anything
+                coef = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(rows)]
+                v = [sum(c * row[j] for c, row in zip(coef, m)) for j in range(cols)]
+            else:
+                v = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
+            member = linalg.solve(linalg.transpose(m), v) is not None
+            assert (not any(linalg.residual(red, pivots, v))) == member
+            assert linalg.in_row_space(m, v) == member

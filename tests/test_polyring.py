@@ -1,15 +1,18 @@
 """Exact polynomial ring: arithmetic, determinants, division, evaluation."""
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactforge.errors import DimensionError, IncompleteAssignmentError
+from contactforge import config
+from contactforge.errors import DimensionError, IncompleteAssignmentError, TermLimitError
 from contactforge.polyring import (
     Poly,
     determinant,
+    divmod_principal,
     exact_divide,
     minor,
     reduce_mod_principal,
@@ -194,3 +197,186 @@ def test_diff_product_rule():
     lhs = (p * q).diff(var)
     rhs = p.diff(var) * q + p * q.diff(var)
     assert lhs == rhs
+
+
+# -- the packed kernel against a tuple-monomial Fraction reference ---------------
+#
+# The reference below shares no code with polyring: monomials are sorted
+# (row, col, exp) tuples, coefficients Fractions, and the term order is the
+# graded row-major lex key the kernel replaced.
+
+
+def ref_grlex_key(m):
+    return (sum(e for _, _, e in m), tuple((-r, -c, e) for r, c, e in m))
+
+
+def ref_mono_mul(m1, m2):
+    exps = {}
+    for r, c, e in m1 + m2:
+        exps[(r, c)] = exps.get((r, c), 0) + e
+    return tuple((r, c, e) for (r, c), e in sorted(exps.items()))
+
+
+def ref_accumulate(out, mono, coeff):
+    out[mono] = out.get(mono, Fraction(0)) + coeff
+    if not out[mono]:
+        del out[mono]
+
+
+def ref_add(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        ref_accumulate(out, m, c)
+    return out
+
+
+def ref_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            ref_accumulate(out, ref_mono_mul(m1, m2), c1 * c2)
+    return out
+
+
+def ref_diff(p, var):
+    out = {}
+    for m, c in p.items():
+        for i, (r, col, e) in enumerate(m):
+            if (r, col) == var:
+                rest = m[:i] + (((r, col, e - 1),) if e > 1 else ()) + m[i + 1:]
+                ref_accumulate(out, rest, c * e)
+    return out
+
+
+def ref_divmod(p, f):
+    lt = max(f, key=ref_grlex_key)
+    quotient, remainder, work = {}, {}, dict(p)
+    while work:
+        m = max(work, key=ref_grlex_key)
+        c = work.pop(m)
+        exps = {(r, col): e for r, col, e in m}
+        if any(exps.get((r, col), 0) < e for r, col, e in lt):
+            remainder[m] = c
+            continue
+        for r, col, e in lt:
+            exps[(r, col)] -= e
+        qm = tuple((r, col, e) for (r, col), e in sorted(exps.items()) if e)
+        quotient[qm] = c / f[lt]
+        for fm, fc in f.items():
+            if fm != lt:
+                ref_accumulate(work, ref_mono_mul(qm, fm), -quotient[qm] * fc)
+    return quotient, remainder
+
+
+def random_terms(rng, size, count, max_vars=3, max_exp=3):
+    """Tuple-monomial terms with Fraction coefficients and exponents above 1."""
+    terms = {}
+    for _ in range(count):
+        exps = {}
+        for _ in range(rng.randint(0, max_vars)):
+            var = (rng.randint(1, size), rng.randint(1, size))
+            exps[var] = exps.get(var, 0) + rng.randint(1, max_exp)
+        mono = tuple((r, c, e) for (r, c), e in sorted(exps.items()))
+        terms[mono] = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5)))
+    return {m: c for m, c in terms.items() if c}
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
+def test_kernel_matches_tuple_reference(size):
+    rng = random.Random(100 + size)
+    for _ in range(12):
+        pt, qt = random_terms(rng, size, rng.randint(0, 8)), random_terms(rng, size, rng.randint(1, 8))
+        p, q = Poly(size, pt), Poly(size, qt)
+        assert p.terms == pt and q.terms == qt
+        assert (p + q).terms == ref_add(pt, qt)
+        assert (p - q).terms == ref_add(pt, {m: -c for m, c in qt.items()})
+        assert (p * q).terms == ref_mul(pt, qt)
+        for var in {(r, c) for m in pt for r, c, _ in m} | {(1, size)}:
+            assert p.diff(var).terms == ref_diff(pt, var)
+        ft = random_terms(rng, size, rng.randint(1, 4), max_vars=2, max_exp=2)
+        if not ft:
+            continue
+        f = Poly(size, ft)
+        for dividend in (pt, ref_add(ref_mul(pt, ft), qt)):
+            quotient, remainder = divmod_principal(Poly(size, dividend), f)
+            ref_q, ref_r = ref_divmod(dividend, ft)
+            assert quotient.terms == ref_q and remainder.terms == ref_r
+
+
+@pytest.mark.parametrize("size", [2, 3, 6])
+def test_sorted_terms_follow_the_grlex_key(size):
+    rng = random.Random(7 * size)
+    for _ in range(10):
+        terms = random_terms(rng, size, 12, max_vars=4, max_exp=4)
+        if not terms:
+            continue
+        p = Poly(size, terms)
+        expected = sorted(terms, key=ref_grlex_key, reverse=True)
+        assert [m for m, _ in p.sorted_terms()] == expected
+        assert p.leading_term() == (expected[0], terms[expected[0]])
+
+
+def test_integral_coefficients_are_ints():
+    half = a(1, 1) * Fraction(1, 2) + a(2, 2) * Fraction(3, 2)
+    doubled = half * 2
+    assert doubled == a(1, 1) + a(2, 2) * 3
+    assert all(type(c) is int for c in doubled.terms.values())
+    assert all(type(c) is Fraction for c in half.terms.values())
+    assert all(type(c) is int for c in (half + half).terms.values())
+
+
+def test_constant_value_and_evaluate_return_fractions():
+    assert type(Poly.const(3, 2).constant_value()) is Fraction
+    assert type(Poly.zero(3).constant_value()) is Fraction
+    assert Poly.const(3, Fraction(4, 2)).constant_value() == 2
+    point = {(i, j): i + j for i in (1, 2) for j in (1, 2)}
+    value = (a(1, 1) * a(2, 2) - a(1, 2) * a(2, 1)).evaluate(point)
+    assert type(value) is Fraction and value == 2 * 4 - 3 * 3
+
+
+def test_degree_guard_raises_term_limit():
+    x, y = a(1, 1), a(2, 2)
+    assert (x ** 127).terms == {((1, 1, 127),): 1}
+    assert (x ** 100 * y ** 27).leading_term() == (((1, 1, 100), (2, 2, 27)), 1)
+    with pytest.raises(TermLimitError):
+        x ** 128
+    with pytest.raises(TermLimitError):
+        x ** 100 * y ** 28
+    with pytest.raises(TermLimitError):
+        Poly(2, {((1, 1, 64), (1, 2, 64)): 1})
+
+
+def test_variable_outside_matrix_raises():
+    with pytest.raises(DimensionError):
+        Poly(2, {((3, 1, 1),): 1})
+
+
+def test_terms_view():
+    p = Poly(3, {((1, 2, 1), (3, 3, 2)): Fraction(1, 2), (): 4})
+    assert isinstance(p.terms, Mapping) and len(p.terms) == 2
+    assert p.terms == {((1, 2, 1), (3, 3, 2)): Fraction(1, 2), (): 4}
+    assert p.terms != {((1, 2, 1), (3, 3, 2)): Fraction(1, 2), (): 5}
+    assert p.terms != {((1, 2, 1), (3, 3, 2)): Fraction(1, 2), ((4, 4, 1),): 4}
+    assert p.terms[()] == 4 and ((9, 9, 1),) not in p.terms
+    assert dict(p.terms) == dict(p.terms.items())
+
+
+def test_budget_is_read_once_and_checked_per_row(monkeypatch):
+    reads = []
+
+    def limit():
+        reads.append(1)
+        return 500
+
+    monkeypatch.setattr(config, "get_max_terms", limit)
+    p = Poly(6, {((1, c, 1),): 1 for c in range(1, 7)})
+    q = Poly(6, {((r, c, 1),): 1 for r in range(2, 7) for c in range(1, 7)})
+    pq = p * q
+    assert len(pq.terms) == 6 * 30 and len(reads) == 1
+    with pytest.raises(TermLimitError) as info:
+        q * pq
+    assert len(reads) == 2
+    # the check after each row stops the product at no more than the budget
+    # plus one row of the longer factor, long before all of its terms exist
+    reached = int(str(info.value).split("reached ")[1].split()[0])
+    assert 500 < reached <= 500 + len(pq.terms)
