@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run every verification suite for p = 1 and p = 2 and write JSON reports.
+"""Run every verification suite for each p that `all` accepts (1 and 2) and
+write JSON reports.
 
 Usage: python scripts/run_full_audit.py [output-dir]
 """
@@ -8,13 +9,13 @@ import pathlib
 import sys
 import time
 
-from contactforge.cli import main
+from contactforge.cli import SUITES, main
 
 
 def run(out_dir: pathlib.Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     worst = 0
-    for p in (1, 2):
+    for p in SUITES["all"].p:
         target = out_dir / f"audit_p{p}.json"
         started = time.monotonic()
         code = main(["all", "--p", str(p), "--samples", "20", "--seed", "0",

@@ -2,16 +2,20 @@
 
 Exit status: 0 when no asserted claim is refuted (reported-only discrepancies
 with quoted constants are flagged but do not fail the run), 1 when a claim is
-refuted, 2 on usage errors, 3 when the symbolic term budget is exceeded.
+refuted or an internal self-check fails, 2 on usage errors, 3 when the
+symbolic term budget is exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__, config
@@ -21,6 +25,7 @@ from .numeric import BUILTIN_FORMS, contact_scan, random_points, t3_form
 from .orthogroup import so3_contact_check
 from .report import CONFIRMED, REPORTED_ONLY, VerifyReport
 from .slcontact import (
+    SLFrame,
     build_frame,
     h_algebra,
     invariance_loci,
@@ -31,34 +36,6 @@ from .slcontact import (
 )
 
 
-def _suite_verify_contact(args) -> VerifyReport:
-    return verify_contact_identity(args.p).report
-
-
-def _suite_reeb(args) -> VerifyReport:
-    return reeb_field(args.p).report
-
-
-def _suite_structural(args) -> VerifyReport:
-    return structural_checks(args.p)
-
-
-def _suite_invariance(args) -> VerifyReport:
-    return invariance_loci(args.p, samples=args.samples, seed=args.seed)
-
-
-def _suite_h_algebra(args) -> VerifyReport:
-    return h_algebra(args.p).report
-
-
-def _suite_u_decomp(args) -> VerifyReport:
-    return u_decomposition(args.p)
-
-
-def _suite_so3(args) -> VerifyReport:
-    return so3_contact_check(samples=args.samples, seed=args.seed).report
-
-
 def _parse_algebra(args):
     if args.algebra.startswith("file:"):
         return build_algebra(args.algebra)
@@ -67,7 +44,7 @@ def _parse_algebra(args):
     return build_algebra(args.algebra, args.n)
 
 
-def _suite_cartan_class(args) -> VerifyReport:
+def _cartan_class(args, frame) -> VerifyReport:
     g = _parse_algebra(args)
     rep = VerifyReport(
         "cartan-class",
@@ -100,7 +77,7 @@ def _suite_cartan_class(args) -> VerifyReport:
     return rep
 
 
-def _suite_class_survey(args) -> VerifyReport:
+def _class_survey(args, frame) -> VerifyReport:
     g = _parse_algebra(args)
     survey = class_survey(g, args.rank, args.samples, args.seed)
     rep = VerifyReport(
@@ -144,7 +121,7 @@ def _suite_class_survey(args) -> VerifyReport:
     return rep
 
 
-def _suite_scan(args) -> VerifyReport:
+def _scan(args, frame) -> VerifyReport:
     if args.form not in BUILTIN_FORMS:
         raise ParameterError(f"unknown built-in form {args.form!r}")
     form = t3_form(args.n1) if args.form == "t3" else BUILTIN_FORMS[args.form]()
@@ -175,142 +152,156 @@ def _suite_scan(args) -> VerifyReport:
     return rep
 
 
-def _run_suite(name, fn, args, json_accum):
-    started = time.monotonic()
-    rep = fn(args)
-    elapsed = time.monotonic() - started
-    print(f"suite {rep.suite}  ({elapsed:.2f}s)")
-    for line in rep.summary_lines():
-        print(line)
-    if json_accum is not None:
-        json_accum.append(rep)
-    return rep
+def positive_int(text: str) -> int:
+    """argparse type for p, counts, ranks and budgets: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
-def main(argv=None) -> int:
+def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+def _samples(default: int):
+    return _arg("--samples", type=positive_int, default=default)
+
+
+_SEED = _arg("--seed", type=int, default=0)
+_ALGEBRA = (
+    _arg("--algebra", required=True, help="sl | so | heisenberg | file:PATH"),
+    _arg("--n", type=int, help="dimension parameter of the family"),
+)
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One subcommand of the registry.
+
+    `run(args, frame)` returns the suite's report; `frame()` is the run's one
+    SLFrame for args.p, built on first use. `p` is the tuple of valid p, ()
+    for every p >= 1, or None when the command takes no --p. `in_all` holds
+    one argument override per run of this suite inside `all` (none: not run).
+    """
+
+    run: Callable[[argparse.Namespace, Callable[[], SLFrame]], VerifyReport] | None
+    help: str
+    p: tuple[int, ...] | None = None
+    args: tuple = ()
+    in_all: tuple[dict, ...] = ({},)
+
+
+# `all` runs the in_all entries in this order.
+SUITES: dict[str, Suite] = {
+    "verify-contact": Suite(
+        lambda a, frame: verify_contact_identity(a.p, frame()).report,
+        "expand the top-degree contact identity", (1, 2)),
+    "reeb": Suite(
+        lambda a, frame: reeb_field(a.p, frame()).report,
+        "audit the quoted Reeb field", ()),
+    "structural": Suite(
+        lambda a, frame: structural_checks(a.p, frame()),
+        "brackets, Lie derivatives, duality table", (1, 2)),
+    "invariance": Suite(
+        # the p = 3 loci need no frame: every value there is a point evaluation
+        lambda a, frame: invariance_loci(a.p, a.samples, a.seed, frame() if a.p <= 2 else None),
+        "left/right invariance loci at sampled points", (1, 2, 3), (_samples(20), _SEED)),
+    "h-algebra": Suite(
+        lambda a, frame: h_algebra(a.p).report,
+        "the J-preserving subalgebra", ()),
+    "u-decomp": Suite(
+        lambda a, frame: u_decomposition(a.p, frame()),
+        "coframe decomposition of the contact form", (1, 2)),
+    "cartan-class": Suite(
+        _cartan_class, "Cartan class of a covector", None,
+        (*_ALGEBRA, _arg("--form", help="comma-separated rational coordinates"), _SEED),
+        in_all=()),
+    "class-survey": Suite(
+        _class_survey, "seeded random class survey", None,
+        (*_ALGEBRA, _arg("--rank", type=positive_int, required=True), _samples(100), _SEED),
+        in_all=()),
+    "so3-check": Suite(
+        lambda a, frame: so3_contact_check(a.samples, a.seed).report,
+        "induced contact form on SO(3)", None, (_samples(50), _SEED)),
+    "scan": Suite(
+        _scan, "pointwise class scan of a built-in torus form", None,
+        (
+            _arg("--form", required=True, choices=sorted(BUILTIN_FORMS)),
+            _arg("--n1", type=int, default=1),
+            _arg("--points", type=positive_int, default=1000),
+            _SEED,
+            _arg("--tol", type=float, default=1e-9),
+        ),
+        in_all=({"form": "t3", "n1": 1, "points": 500, "tol": 1e-9},
+                {"form": "t5-lutz", "n1": 1, "points": 500, "tol": 1e-9})),
+    "all": Suite(None, "run every suite for one p", (1, 2), (_samples(20), _SEED), in_all=()),
+}
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="contactforge",
         description="Exact verification suites for contact structures on matrix groups.",
     )
     parser.add_argument("--version", action="version", version=f"contactforge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
+    for name, suite in SUITES.items():
+        sp = sub.add_parser(name, help=suite.help)
+        if suite.p is not None:
+            sp.add_argument("--p", type=positive_int, required=True, choices=suite.p or None,
+                            help="half the matrix size of SL(2p)")
+        for flags, kwargs in suite.args:
+            sp.add_argument(*flags, **kwargs)
         sp.add_argument("--json", metavar="PATH", help="write the report as JSON")
-        sp.add_argument("--max-terms", type=int, default=None,
+        sp.add_argument("--max-terms", type=positive_int, default=None,
                         help="term budget for symbolic expansions")
+    return parser
 
-    def add_p(sp, choices=None):
-        sp.add_argument("--p", type=int, required=True, choices=choices,
-                        help="half the matrix size of SL(2p)")
 
-    sp = sub.add_parser("verify-contact", help="expand the top-degree contact identity")
-    add_p(sp, (1, 2))
-    add_common(sp)
-    sp.set_defaults(fn=_suite_verify_contact)
+def _run_suite(suite: Suite, args, frame) -> VerifyReport:
+    started = time.monotonic()
+    rep = suite.run(args, frame)
+    elapsed = time.monotonic() - started
+    print(f"suite {rep.suite}  ({elapsed:.2f}s)")
+    for line in rep.summary_lines():
+        print(line)
+    return rep
 
-    sp = sub.add_parser("reeb", help="audit the quoted Reeb field")
-    add_p(sp)
-    add_common(sp)
-    sp.set_defaults(fn=_suite_reeb)
 
-    sp = sub.add_parser("structural", help="brackets, Lie derivatives, duality table")
-    add_p(sp, (1, 2))
-    add_common(sp)
-    sp.set_defaults(fn=_suite_structural)
-
-    sp = sub.add_parser("invariance", help="left/right invariance loci at sampled points")
-    add_p(sp, (1, 2, 3))
-    sp.add_argument("--samples", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
-    add_common(sp)
-    sp.set_defaults(fn=_suite_invariance)
-
-    sp = sub.add_parser("h-algebra", help="the J-preserving subalgebra")
-    add_p(sp)
-    add_common(sp)
-    sp.set_defaults(fn=_suite_h_algebra)
-
-    sp = sub.add_parser("u-decomp", help="coframe decomposition of the contact form")
-    add_p(sp, (1, 2))
-    add_common(sp)
-    sp.set_defaults(fn=_suite_u_decomp)
-
-    sp = sub.add_parser("cartan-class", help="Cartan class of a covector")
-    sp.add_argument("--algebra", required=True, help="sl | so | heisenberg | file:PATH")
-    sp.add_argument("--n", type=int, help="dimension parameter of the family")
-    sp.add_argument("--form", help="comma-separated rational coordinates")
-    sp.add_argument("--seed", type=int, default=0)
-    add_common(sp)
-    sp.set_defaults(fn=_suite_cartan_class)
-
-    sp = sub.add_parser("class-survey", help="seeded random class survey")
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
-    add_common(sp)
-    sp.set_defaults(fn=_suite_class_survey)
-
-    sp = sub.add_parser("so3-check", help="induced contact form on SO(3)")
-    sp.add_argument("--samples", type=int, default=50)
-    sp.add_argument("--seed", type=int, default=0)
-    add_common(sp)
-    sp.set_defaults(fn=_suite_so3)
-
-    sp = sub.add_parser("scan", help="pointwise class scan of a built-in torus form")
-    sp.add_argument("--form", required=True, choices=sorted(BUILTIN_FORMS))
-    sp.add_argument("--n1", type=int, default=1)
-    sp.add_argument("--points", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=1e-9)
-    add_common(sp)
-    sp.set_defaults(fn=_suite_scan)
-
-    sp = sub.add_parser("all", help="run every suite for one p")
-    add_p(sp, (1, 2))
-    sp.add_argument("--samples", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
-    add_common(sp)
-    sp.set_defaults(fn=None)
-
-    args = parser.parse_args(argv)
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    frame = functools.cache(lambda: build_frame(args.p))
+    if args.command == "all":
+        steps = [
+            (suite, argparse.Namespace(**{**vars(args), **extra}))
+            for suite in SUITES.values()
+            for extra in suite.in_all
+        ]
+    else:
+        steps = [(SUITES[args.command], args)]
 
     if args.max_terms is not None:
         config.set_max_terms(args.max_terms)
     try:
-        if args.command == "all":
-            reports: list[VerifyReport] = []
-            _run_suite("verify-contact", _suite_verify_contact, args, reports)
-            _run_suite("reeb", _suite_reeb, args, reports)
-            _run_suite("structural", _suite_structural, args, reports)
-            _run_suite("invariance", _suite_invariance, args, reports)
-            _run_suite("h-algebra", _suite_h_algebra, args, reports)
-            _run_suite("u-decomp", _suite_u_decomp, args, reports)
-            _run_suite("so3-check", _suite_so3, args, reports)
-            scan_args = argparse.Namespace(form="t3", n1=1, points=500, seed=args.seed, tol=1e-9)
-            _run_suite("scan", _suite_scan, scan_args, reports)
-            scan_args = argparse.Namespace(form="t5-lutz", n1=1, points=500, seed=args.seed, tol=1e-9)
-            _run_suite("scan", _suite_scan, scan_args, reports)
-            ok = all(r.ok for r in reports)
+        reports = [_run_suite(suite, step_args, frame) for suite, step_args in steps]
+        ok = all(r.ok for r in reports)
+        if args.command != "all":
             if args.json:
-                payload = {
-                    "schema": 1,
-                    "suite": "all",
-                    "engine": f"contactforge {__version__}",
-                    "params": {"p": args.p, "samples": args.samples, "seed": args.seed},
-                    "reports": [r.as_dict() for r in reports],
-                }
-                with open(args.json, "w", encoding="utf-8") as fh:
-                    fh.write(json.dumps(payload, indent=2) + "\n")
-            print("overall:", "ok" if ok else "REFUTED CLAIMS PRESENT")
+                reports[0].write_json(args.json)
             return 0 if ok else 1
-
-        rep = _run_suite(args.command, args.fn, args, None)
         if args.json:
-            rep.write_json(args.json)
-        return 0 if rep.ok else 1
+            payload = {
+                "schema": 1,
+                "suite": "all",
+                "engine": f"contactforge {__version__}",
+                "params": {"p": args.p, "samples": args.samples, "seed": args.seed},
+                "reports": [r.as_dict() for r in reports],
+            }
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(payload, indent=2) + "\n")
+        print("overall:", "ok" if ok else "REFUTED CLAIMS PRESENT")
+        return 0 if ok else 1
     except TermLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

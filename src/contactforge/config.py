@@ -7,7 +7,7 @@ through the CONTACTFORGE_MAX_TERMS environment variable, or per CLI run.
 
 import os
 
-from .errors import TermLimitError
+from .errors import ParameterError, TermLimitError
 
 DEFAULT_MAX_TERMS = 5_000_000
 ENV_VAR = "CONTACTFORGE_MAX_TERMS"
@@ -19,7 +19,7 @@ def set_max_terms(limit: int | None) -> None:
     """Set the term budget; None restores the environment/default value."""
     global _override
     if limit is not None and limit <= 0:
-        raise ValueError("term budget must be positive")
+        raise ParameterError("term budget must be positive")
     _override = limit
 
 

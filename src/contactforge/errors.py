@@ -25,5 +25,9 @@ class TermLimitError(ContactforgeError):
     """A symbolic product exceeded the configured term budget."""
 
 
-class ParameterError(ContactforgeError):
+class ParameterError(ContactforgeError, ValueError):
     """A numeric parameter is out of range."""
+
+
+class InternalCheckError(ContactforgeError):
+    """A construction-time self-check failed: the program, not the input, is wrong."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .errors import InvalidAlgebraError
+from .errors import InvalidAlgebraError, ParameterError
 
 Covector = tuple[Fraction, ...]
 
@@ -417,8 +417,8 @@ def random_covector(g: LieAlg, rng: random.Random) -> Covector:
 
 
 def class_survey(g: LieAlg, rank_hint: int, samples: int, seed: int) -> ClassSurvey:
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if samples < 1 or rank_hint < 1:
+        raise ParameterError("samples and rank must be >= 1")
     rng = random.Random(seed)
     histogram: dict[int, int] = {}
     rank_estimate = g.dim

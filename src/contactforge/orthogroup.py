@@ -109,6 +109,8 @@ def so3_contact_check(samples: int = 50, seed: int = 0) -> InducedFormReport:
     Theta_3: +1 per sample in ascending factor order, -1 under the reversed
     orientation that reproduces the quoted -det * V endpoint.
     """
+    if samples < 1:
+        raise ParameterError("samples must be >= 1")
     system = so_constraint_system(3)
     phi = induced_one_form(3)
     top = wedge(wedge(phi, ext_d(phi)), system.theta)

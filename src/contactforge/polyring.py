@@ -36,7 +36,7 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import or_
 
-from . import config
+from . import config, linalg
 from .errors import DimensionError, IncompleteAssignmentError, TermLimitError
 
 Var = tuple[int, int]
@@ -417,36 +417,6 @@ def symbolic_matrix(size: int) -> list[list[Poly]]:
     ]
 
 
-def _bareiss_det(rows: list[list[int | Fraction]]) -> Fraction:
-    """Fraction-free Bareiss determinant; each row is scaled by the lcm of its denominators."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    scale = 1
-    m: list[list[int]] = []
-    for row in rows:
-        lcm = math.lcm(*(x.denominator for x in row))
-        scale *= lcm
-        m.append([x.numerator * (lcm // x.denominator) for x in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], scale)
-
-
 def _cofactor_det(mat: list[list[Poly]], rows: tuple[int, ...], cols: tuple[int, ...],
                   memo: dict) -> Poly:
     key = (rows, cols)
@@ -474,7 +444,7 @@ def _cofactor_det(mat: list[list[Poly]], rows: tuple[int, ...], cols: tuple[int,
 def determinant(mat: list[list[Poly]]) -> Poly:
     """Exact determinant of a square Poly matrix.
 
-    Constant matrices go through fraction-free Bareiss elimination; symbolic
+    Constant matrices go through linalg.det (fraction-free elimination); symbolic
     matrices use cofactor expansion with memoized minors (sizes in scope stay
     at or below 6).
     """
@@ -485,7 +455,7 @@ def determinant(mat: list[list[Poly]]) -> Poly:
     if any(entry.size != size for row in mat for entry in row):
         raise DimensionError("matrix entries live over different ambient sizes")
     if all(entry.is_constant for row in mat for entry in row):
-        value = _bareiss_det([[e._terms.get(0, 0) for e in row] for row in mat])
+        value = linalg.det([[e._terms.get(0, 0) for e in row] for row in mat])
         return Poly.const(size, value)
     idx = tuple(range(n))
     return _cofactor_det(mat, idx, idx, {})

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .errors import ParameterError
+from .errors import InternalCheckError, ParameterError
 from .exterior import (
     Form,
     VField,
@@ -159,20 +159,20 @@ def build_frame(p: int) -> SLFrame:
         },
     )
     if d_delta != lemma_form:
-        raise AssertionError("d(det) does not match the signed-cofactor expansion")
+        raise InternalCheckError("d(det) does not match the signed-cofactor expansion")
 
     for kl, x in x_fields.items():
         if not x.apply(delta).is_zero:
-            raise AssertionError(f"X{kl} is not tangent to the det = 1 level set")
+            raise InternalCheckError(f"X{kl} is not tangent to the det = 1 level set")
     for kl, y in y_fields.items():
         if not y.apply(delta).is_zero:
-            raise AssertionError(f"Y{kl} is not tangent to the det = 1 level set")
+            raise InternalCheckError(f"Y{kl} is not tangent to the det = 1 level set")
     # the row-wise diagonal fields are only pinned down by commutation
     for k in range(1, n):
         ykk = y_fields[(k, k)]
         for x in x_fields.values():
             if not vf_bracket(x, ykk).is_zero:
-                raise AssertionError(f"[X, Y({k},{k})] != 0; diagonal Y construction is wrong")
+                raise InternalCheckError(f"[X, Y({k},{k})] != 0; diagonal Y construction is wrong")
 
     return SLFrame(
         p=p,
@@ -494,12 +494,6 @@ def preserves_j(a: linalg.Mat, jm: linalg.Mat) -> bool:
     return linalg.mat_mul(linalg.mat_mul(linalg.transpose(a), jm), a) == jm
 
 
-def point_determinant(a: linalg.Mat) -> Fraction:
-    n = len(a)
-    mat = [[Poly.const(n, x) for x in row] for row in a]
-    return determinant(mat).constant_value()
-
-
 def h_matrix_basis(p: int) -> list[linalg.Mat]:
     """Direct basis of {Y : JY + tY J = 0}: traceless 2x2 diagonal blocks plus
     free upper blocks mirrored by M[j][i] = J2 (M[i][j])^T J2."""
@@ -616,7 +610,7 @@ def left_locus_equations(frame: SLFrame) -> dict[Var, Poly]:
                 frame.minors[(i, pj)] if (i + pj) % 2 == 0 else -frame.minors[(i, pj)]
             )
             if eq != stated and eq != -stated:
-                raise AssertionError(
+                raise InternalCheckError(
                     f"left locus equation on da[{i},{j}] is not +-(a - cofactor)"
                 )
             equations[(i, j)] = eq
@@ -636,77 +630,62 @@ def right_locus_equations(frame: SLFrame) -> dict[Var, Poly]:
     }
 
 
-def _point_equation_values(equations: dict[Var, Poly], a: linalg.Mat) -> list[Fraction]:
-    point = matrix_point(a)
-    return [eq.evaluate(point) for eq in equations.values()]
+def locus_values(a: linalg.Mat, side: str) -> list[Fraction]:
+    """The left or right locus equations evaluated at an invertible point a.
+
+    The value on da[i,j] is the coefficient of the identity covector,
+    transported to a with the adjugate as the inverse, minus that of omega at
+    a. With B = J^T the coefficient matrix of omega at the identity, omega at
+    a is a B, the left transport is adj(a)^T B and the right transport is
+    B adj(a)^T; the values are their differences, row-major, in the order of
+    left_locus_equations and right_locus_equations.
+    """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    _, adj = linalg.det_adj(a)
+    if adj is None:
+        raise ParameterError("locus values need an invertible point")
+    b = linalg.transpose(j_matrix(len(a) // 2))
+    adj_t = linalg.transpose(adj)
+    moved = linalg.mat_mul(adj_t, b) if side == "left" else linalg.mat_mul(b, adj_t)
+    here = linalg.mat_mul(a, b)
+    return [x - y for row_m, row_h in zip(moved, here) for x, y in zip(row_m, row_h)]
 
 
-def _left_equation_values_at_point(a: linalg.Mat) -> list[Fraction]:
-    """a[i,j] - (-1)^(i+j) A[i,j] evaluated numerically (used for large p)."""
-    n = len(a)
-    mat = [[Poly.const(n, x) for x in row] for row in a]
-    out = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            m = minor(mat, i, j).constant_value()
-            sign = 1 if (i + j) % 2 == 0 else -1
-            out.append(a[i - 1][j - 1] - sign * m)
-    return out
-
-
-def _right_equation_values_at_point(a: linalg.Mat, p: int) -> list[Fraction]:
-    """Transported-right coefficients minus omega coefficients, numerically."""
-    n = len(a)
-    mat = [[Poly.const(n, x) for x in row] for row in a]
-    out = []
-    for r in range(1, n + 1):
-        partner = r + 1 if r % 2 == 1 else r - 1
-        for c in range(1, n + 1):
-            m = minor(mat, partner, c).constant_value()
-            transported = (1 if c % 2 == 1 else -1) * m
-            omega_coeff = a[r - 1][c] if c % 2 == 1 else -a[r - 1][c - 2]
-            out.append(transported - omega_coeff)
-    return out
-
-
-def invariance_loci(p: int, samples: int = 20, seed: int = 0) -> VerifyReport:
+def invariance_loci(
+    p: int, samples: int = 20, seed: int = 0, frame: SLFrame | None = None
+) -> VerifyReport:
     """Point-sampled bidirectional check of the two invariance loci.
 
     The left locus must cut out exactly the orthogonal points, the right
     locus exactly the J-preserving points; for p = 1 the right locus is all
-    of SL(2). For p <= 2 the equations are built symbolically from the
-    covector transport; for p = 3 only point evaluations are performed.
+    of SL(2). Every point value comes from locus_values. For p <= 2 the left
+    equations are also built symbolically once, to check their stated shape.
     """
     if p not in (1, 2, 3):
         raise ParameterError("invariance loci are checked for p in {1, 2, 3}")
+    if samples < 1:
+        raise ParameterError("samples must be >= 1")
     n = 2 * p
     rep = VerifyReport("invariance", {"p": p, "samples": samples, "seed": seed})
     jm = j_matrix(p)
 
-    symbolic = p <= 2
-    if symbolic:
-        frame = build_frame(p)
-        left_eqs = left_locus_equations(frame)
-        right_eqs = right_locus_equations(frame)
+    if p <= 2:
+        left_locus_equations(frame or build_frame(p))
         rep.check(
             "left locus equations match +-(a[i,j] - (-1)^(i+j) A[i,j])",
             True,
             True,
             "claimed",
         )
-        left_values = lambda a: _point_equation_values(left_eqs, a)
-        right_values = lambda a: _point_equation_values(right_eqs, a)
-    else:
-        left_values = _left_equation_values_at_point
-        right_values = lambda a: _right_equation_values_at_point(a, p)
 
     so_failures = []
     for k in range(samples):
         a = sample_group_point("SO", n, _mix_seed(seed, k))
-        if not is_orthogonal(a) or point_determinant(a) != 1:
+        if not is_orthogonal(a) or linalg.det(a) != 1:
             so_failures.append((k, "sampler produced a non-SO point"))
             continue
-        if any(left_values(a)):
+        if any(locus_values(a, "left")):
             so_failures.append((k, "left equations do not vanish"))
     rep.check(
         f"left locus holds at {samples} sampled SO({n}) points",
@@ -718,8 +697,7 @@ def invariance_loci(p: int, samples: int = 20, seed: int = 0) -> VerifyReport:
     nonorth_failures = []
     for k in range(samples):
         a = sample_sl_nonorthogonal(n, _mix_seed(seed, k))
-        values = left_values(a)
-        if not any(values):
+        if not any(locus_values(a, "left")):
             nonorth_failures.append(k)
     rep.check(
         f"left locus fails at {samples} non-orthogonal SL({n}) points",
@@ -732,10 +710,10 @@ def invariance_loci(p: int, samples: int = 20, seed: int = 0) -> VerifyReport:
     h_failures = []
     for k in range(samples):
         a = sample_group_point("H", p, _mix_seed(seed, k))
-        if not preserves_j(a, jm) or point_determinant(a) != 1:
+        if not preserves_j(a, jm) or linalg.det(a) != 1:
             h_failures.append((k, "sampler produced a point outside H"))
             continue
-        if any(right_values(a)):
+        if any(locus_values(a, "right")):
             h_failures.append((k, "right equations do not vanish"))
     rep.check(
         f"right locus holds at {samples} sampled H points",
@@ -748,7 +726,7 @@ def invariance_loci(p: int, samples: int = 20, seed: int = 0) -> VerifyReport:
         sl_failures = []
         for k in range(samples):
             a = sample_group_point("SL", n, _mix_seed(seed, k, 7))
-            if any(right_values(a)) or not preserves_j(a, jm):
+            if any(locus_values(a, "right")) or not preserves_j(a, jm):
                 sl_failures.append(k)
         rep.check(
             "for p = 1 the right locus holds at arbitrary SL(2) points (H = SL(2))",
@@ -762,7 +740,7 @@ def invariance_loci(p: int, samples: int = 20, seed: int = 0) -> VerifyReport:
             a = sample_sl_nonorthogonal(n, _mix_seed(seed, k, 11))
             if preserves_j(a, jm):
                 continue  # exceedingly unlikely; skip rather than miscount
-            if not any(right_values(a)):
+            if not any(locus_values(a, "right")):
                 nonh_failures.append(k)
         rep.check(
             f"right locus fails at {samples} sampled non-H SL({n}) points",
@@ -792,6 +770,8 @@ class SubalgebraResult:
 
 
 def h_algebra(p: int) -> SubalgebraResult:
+    if p < 1:
+        raise ParameterError("p must be >= 1")
     n = 2 * p
     jm = j_matrix(p)
     rep = VerifyReport("h-algebra", {"p": p})
@@ -812,7 +792,7 @@ def h_algebra(p: int) -> SubalgebraResult:
         lhs = linalg.mat_mul(jm, y)
         rhs = linalg.mat_mul(linalg.transpose(y), jm)
         if any(lhs[i][j] + rhs[i][j] != 0 for i in range(n) for j in range(n)):
-            raise AssertionError("nullspace element violates the defining equations")
+            raise InternalCheckError("nullspace element violates the defining equations")
 
     dim = len(basis)
     rep.check("dim h = p(2p+1)", dim, p * (2 * p + 1), "claimed")

@@ -1,11 +1,18 @@
 """Command-line contract: subcommands, exit codes, JSON determinism."""
 
 import json
+import pathlib
+import types
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactforge.cli import main
+from contactforge import cli, config, slcontact
+from contactforge.cli import SUITES, main
+from contactforge.errors import ParameterError
+from contactforge.liealg import build_algebra, class_survey
+from contactforge.orthogroup import so3_contact_check
 
 
 def run(argv):
@@ -146,3 +153,89 @@ def test_all_p1(tmp_path):
     suites = [r["suite"] for r in payload["reports"]]
     assert {"verify-contact", "reeb", "structural", "invariance",
             "h-algebra", "u-decomp", "so3-check", "scan"} <= set(suites)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-contact", "--p", "1", "--max-terms", "0"],
+    ["verify-contact", "--p", "1", "--max-terms", "-5"],
+    ["class-survey", "--algebra", "so", "--n", "3", "--rank", "1", "--samples", "0"],
+    ["class-survey", "--algebra", "so", "--n", "3", "--rank", "-1", "--samples", "3"],
+    ["invariance", "--p", "1", "--samples", "0"],
+    ["invariance", "--p", "1", "--samples", "-3"],
+    ["so3-check", "--samples", "0"],
+    ["h-algebra", "--p", "0"],
+    ["h-algebra", "--p", "-1"],
+    ["scan", "--form", "t3", "--points", "0"],
+    ["all", "--p", "1", "--samples", "0"],
+])
+def test_out_of_range_counts_exit_2_without_traceback(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "must be >= 1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("call", [
+    lambda: config.set_max_terms(0),
+    lambda: class_survey(build_algebra("so", 3), 1, 0, 0),
+    lambda: class_survey(build_algebra("so", 3), 0, 3, 0),
+    lambda: slcontact.invariance_loci(1, samples=0),
+    lambda: so3_contact_check(samples=0),
+    lambda: slcontact.h_algebra(0),
+    lambda: slcontact.h_algebra(-1),
+], ids=["max-terms", "class-survey", "class-survey-rank", "invariance", "so3-check", "h-algebra-0", "h-algebra-neg"])
+def test_library_entry_points_reject_empty_or_negative_counts(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+def test_broken_frame_check_exits_1_with_an_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(slcontact, "vf_bracket", lambda x, y: types.SimpleNamespace(is_zero=False))
+    assert run(["verify-contact", "--p", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [X, Y(1,1)] != 0")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["all", "--p", "1", "--samples", "2"],
+    ["all", "--p", "2", "--samples", "2"],
+    ["verify-contact", "--p", "1"],
+    ["reeb", "--p", "1"],
+    ["structural", "--p", "1"],
+    ["invariance", "--p", "1", "--samples", "2"],
+    ["u-decomp", "--p", "1"],
+])
+def test_one_frame_per_run(argv, monkeypatch, capsys):
+    calls = []
+    real = slcontact.build_frame
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(cli, "build_frame", counting)
+    monkeypatch.setattr(slcontact, "build_frame", counting)
+    assert run(argv) == 0
+    assert calls == [int(argv[2])]
+
+
+def test_all_runs_the_registry_in_order(tmp_path, capsys):
+    out = tmp_path / "all.json"
+    assert run(["all", "--p", "1", "--samples", "2", "--json", str(out)]) == 0
+    suites = [r["suite"] for r in json.loads(out.read_text())["reports"]]
+    assert suites == [name for name, suite in SUITES.items() for _ in suite.in_all]
+    assert suites == ["verify-contact", "reeb", "structural", "invariance", "h-algebra",
+                      "u-decomp", "so3-check", "scan", "scan"]
+
+
+def test_readme_lists_the_registry():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    for name, suite in SUITES.items():
+        if suite.p is None:
+            valid_p = "-"
+        else:
+            valid_p = ", ".join(map(str, suite.p)) if suite.p else "any p >= 1"
+        samples = next((kw["default"] for flags, kw in suite.args if flags == ("--samples",)), None)
+        samples_text = f"`--samples` >= 1 (default {samples})" if samples else "-"
+        assert f"| `{name}` | {valid_p} | {samples_text} |" in readme

@@ -5,6 +5,9 @@ deliberate `__version__` bump may change them.
 """
 
 import hashlib
+import pathlib
+import runpy
+import sys
 
 import pytest
 
@@ -22,3 +25,14 @@ def test_all_report_matches_golden_sha256(p, tmp_path, capsys):
     code = cli.main(["all", "--p", str(p), "--samples", "20", "--seed", "0", "--json", str(path)])
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[p]
+
+
+def test_run_full_audit_script_reproduces_golden_reports(tmp_path, monkeypatch, capsys):
+    script = pathlib.Path(__file__).parents[1] / "scripts" / "run_full_audit.py"
+    monkeypatch.setattr(sys, "argv", [str(script), str(tmp_path)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_info.value.code == 0
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["audit_p1.json", "audit_p2.json"]
+    for p, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256((tmp_path / f"audit_p{p}.json").read_bytes()).hexdigest() == digest

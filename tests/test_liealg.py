@@ -1,7 +1,10 @@
 """Lie algebras, Cartan classes and surveys."""
 
 import math
+import pathlib
 import random
+import runpy
+import sys
 from fractions import Fraction
 
 import pytest
@@ -261,3 +264,15 @@ def test_routes_agree_on_rational_covectors_and_fractional_constants(tmp_path):
         alpha = tuple(F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(base.dim))
         moved = tuple(a * si for a, si in zip(alpha, s))
         assert cartan_class_wedge(scaled, moved) == cartan_class_wedge(base, alpha)
+
+
+def test_survey_classes_script(monkeypatch, capsys):
+    script = pathlib.Path(__file__).parents[1] / "scripts" / "survey_classes.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "5", "0"])
+    runpy.run_path(str(script), run_name="__main__")
+    out = capsys.readouterr().out
+    families = [line for line in out.splitlines() if " dim " in line]
+    assert len(families) == 10
+    assert all("(ok)" in line and "histogram" in line for line in families)
+    assert "all-ones diagonal dual sum: class 7 (wedge route 7; quoted value was 13)" in out
+    assert "regular combination 1,2,3:  class 13" in out

@@ -1,5 +1,6 @@
 """Exact rational linear algebra helpers."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -51,6 +52,53 @@ def test_inverse():
         found += 1
         assert linalg.mat_mul(m, inv) == linalg.identity(4)
         assert linalg.mat_mul(inv, m) == linalg.identity(4)
+
+
+def leibniz_det(m):
+    """Sum over permutations, sharing no code with the elimination routines."""
+    n = len(m)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+def test_det_adj_matches_leibniz_and_rref_inverse():
+    rng = random.Random(17)
+    swaps = singular = 0
+    for n in range(1, 7):
+        for trial in range(12):
+            m = rand_matrix(rng, n, n)
+            if trial % 4 == 1:  # zero first column: singular
+                for row in m:
+                    row[0] = Fraction(0)
+            elif trial % 4 == 2 and n > 1:  # zero corner: the first step swaps rows
+                m[0][0] = Fraction(0)
+            elif trial % 4 == 3 and n > 1:  # a repeated row: singular
+                m[-1] = list(m[0])
+            det, adj = linalg.det_adj(m)
+            assert det == leibniz_det(m) == linalg.det(m)
+            red, pivots = linalg.rref([row + linalg.identity(n)[i] for i, row in enumerate(m)])
+            if det == 0:
+                singular += 1
+                assert adj is None and linalg.inverse(m) is None
+                assert pivots[:n] != list(range(n))
+                continue
+            swaps += m[0][0] == 0
+            assert pivots[:n] == list(range(n))
+            assert adj == [[det * x for x in row[n:]] for row in red]
+            assert linalg.inverse(m) == [row[n:] for row in red]
+    assert swaps >= 5 and singular >= 10
+
+
+def test_det_adj_of_integer_entries():
+    det, adj = linalg.det_adj([[0, 2], [3, 4]])
+    assert det == -6
+    assert adj == [[4, -2], [-3, 0]]
 
 
 def test_bareiss_rank_matches_rref_rank():

@@ -2,16 +2,17 @@
 the J-preserving subalgebra, u-decomposition, samplers."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from contactforge import linalg
+from contactforge.errors import ParameterError
 from contactforge.exterior import Form, ext_d, interior_product, wedge
 from contactforge.polyring import Poly, reduce_mod_principal
 from contactforge.report import CONFIRMED, REPORTED_ONLY
 from contactforge.slcontact import (
-    _right_equation_values_at_point,
     build_frame,
     h_algebra,
     h_matrix_basis,
@@ -20,8 +21,8 @@ from contactforge.slcontact import (
     is_orthogonal,
     j_matrix,
     left_locus_equations,
+    locus_values,
     matrix_point,
-    point_determinant,
     preserves_j,
     reeb_field,
     right_locus_equations,
@@ -152,14 +153,14 @@ def test_duality_examples_p1(frame_p1):
 def test_sample_sl_determinant():
     for seed in range(10):
         a = sample_group_point("SL", 4, seed)
-        assert point_determinant(a) == 1
+        assert linalg.det(a) == 1
 
 
 def test_sample_so_orthogonal():
     for seed in range(10):
         a = sample_group_point("SO", 3, seed)
         assert is_orthogonal(a)
-        assert point_determinant(a) == 1
+        assert linalg.det(a) == 1
 
 
 def test_sample_h_preserves_j():
@@ -167,7 +168,7 @@ def test_sample_h_preserves_j():
     for seed in range(10):
         a = sample_group_point("H", 2, seed)
         assert preserves_j(a, jm)
-        assert point_determinant(a) == 1
+        assert linalg.det(a) == 1
 
 
 def test_samplers_deterministic():
@@ -179,7 +180,7 @@ def test_samplers_deterministic():
 def test_nonorthogonal_sampler():
     for seed in range(5):
         a = sample_sl_nonorthogonal(4, seed)
-        assert point_determinant(a) == 1
+        assert linalg.det(a) == 1
         assert not is_orthogonal(a)
 
 
@@ -218,14 +219,41 @@ def test_right_locus_is_all_of_sl2(frame_p1):
         assert all(eq.evaluate(pt) == 0 for eq in eqs.values())
 
 
-def test_right_equations_numeric_path_matches_symbolic(frame_p2):
-    eqs = right_locus_equations(frame_p2)
-    for seed in range(5):
-        a = sample_group_point("SL", 4, seed)
+def _invertible(rng, n):
+    """A seeded rational n x n matrix with det not in {0, 1}."""
+    while True:
+        m = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        if linalg.det(m) not in (0, 1):
+            return m
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_locus_values_match_symbolic_equations(p, frame_p1, frame_p2):
+    frame = frame_p1 if p == 1 else frame_p2
+    n = 2 * p
+    left = left_locus_equations(frame)
+    right = right_locus_equations(frame)
+    rng = random.Random(p)
+    points = [sample_group_point("SL", n, seed) for seed in range(5)]
+    points += [_invertible(rng, n) for _ in range(5)]
+    for a in points:
         pt = matrix_point(a)
-        symbolic = [eq.evaluate(pt) for eq in eqs.values()]
-        numeric = _right_equation_values_at_point(a, 2)
-        assert symbolic == numeric
+        assert locus_values(a, "left") == [eq.evaluate(pt) for eq in left.values()]
+        assert locus_values(a, "right") == [eq.evaluate(pt) for eq in right.values()]
+
+
+def test_locus_values_p3_cut_out_so6_and_h():
+    for seed in range(3):
+        assert not any(locus_values(sample_group_point("SO", 6, seed), "left"))
+        assert any(locus_values(sample_sl_nonorthogonal(6, seed), "left"))
+        assert not any(locus_values(sample_group_point("H", 3, seed), "right"))
+
+
+def test_locus_values_reject_a_singular_point_and_an_unknown_side():
+    with pytest.raises(ParameterError):
+        locus_values([[F(1), F(2)], [F(2), F(4)]], "left")
+    with pytest.raises(ValueError):
+        locus_values(linalg.identity(2), "up")
 
 
 # -- h algebra -----------------------------------------------------------------------
