@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import sys
 import time
@@ -160,6 +161,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    """argparse type for tolerances: a finite float > 0 (nan and inf are refused)."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
     return flags, kwargs
 
@@ -231,7 +240,7 @@ SUITES: dict[str, Suite] = {
             _arg("--n1", type=int, default=1),
             _arg("--points", type=positive_int, default=1000),
             _SEED,
-            _arg("--tol", type=float, default=1e-9),
+            _arg("--tol", type=positive_float, default=1e-9),
         ),
         in_all=({"form": "t3", "n1": 1, "points": 500, "tol": 1e-9},
                 {"form": "t5-lutz", "n1": 1, "points": 500, "tol": 1e-9})),

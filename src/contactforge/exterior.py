@@ -11,45 +11,93 @@ Sign conventions, fixed once for the whole package:
     are row-major;
   * d(P dxI) = sum_v (dP/dv) dv ^ dxI;
   * the Lie derivative is the Cartan formula i(X)d + d i(X).
+
+Wedge products of Poly forms and of the float forms in `numeric` run through
+one kernel over {mask: coeff} dicts (the blade bitmaps of Dorst, Fontijne and
+Mann, Geometric Algebra for Computer Science, ch. 19). Generator da[r,c] is
+bit (r-1)*n + (c-1), so a mask's bits in increasing order are the generator
+tuple in row-major order. Two terms meet only when their masks are disjoint;
+the product's mask is their union, and its sign is the parity of the
+inversions between the two masks: the number of pairs (i in m1, j in m2) with
+i > j, read as one int.bit_count per pair (see `_above_parity`).
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from fractions import Fraction
 
 from . import config
-from .errors import DegreeError, DimensionError
-from .polyring import Poly, Var, minor
+from .errors import DegreeError, DimensionError, TermLimitError
+from .polyring import Poly, Var, minor, row_major_vars
 
 
-def merge_generators(t1: tuple, t2: tuple) -> tuple[int, tuple] | None:
-    """Merge two strictly increasing generator tuples.
+def _above_parity(mask: int) -> int:
+    """Bit j is set when an odd number of mask's bits lie at or above j.
 
-    Returns (sign, merged) where sign is the parity of the shuffle, or None
-    when the tuples share a generator (the wedge vanishes).
+    For a mask m2 disjoint from m1 that counts, at each bit of m2, the bits
+    of m1 above it, so the wedge sign is the parity of
+    (_above_parity(m1) & m2).bit_count(). A suffix xor by doubling shifts.
     """
-    if not t1:
-        return 1, t2
-    if not t2:
-        return 1, t1
-    merged = []
-    sign = 1
-    i = j = 0
-    n1, n2 = len(t1), len(t2)
-    while i < n1 and j < n2:
-        if t1[i] == t2[j]:
-            return None
-        if t1[i] < t2[j]:
-            merged.append(t1[i])
-            i += 1
-        else:
-            merged.append(t2[j])
-            j += 1
-            if (n1 - i) % 2:
-                sign = -sign
-    merged.extend(t1[i:])
-    merged.extend(t2[j:])
-    return sign, tuple(merged)
+    width = mask.bit_length()
+    shift = 1
+    while shift < width:
+        mask ^= mask >> shift
+        shift <<= 1
+    return mask
+
+
+def _wedge_masks(f: dict, g: dict, limit: float = math.inf) -> dict:
+    """Wedge of two {mask: coeff} forms with Poly or float coefficients.
+
+    Coefficients are only multiplied, negated and added; zero sums stay in
+    the result for the caller to drop. Raises TermLimitError once the result
+    holds more than `limit` terms after a row of f.
+    """
+    out: dict = {}
+    get = out.get
+    row = list(g.items())
+    for m1, c1 in f.items():
+        above = _above_parity(m1)
+        for m2, c2 in row:
+            if m1 & m2:
+                continue
+            prod = c1 * c2
+            if (above & m2).bit_count() & 1:
+                prod = -prod
+            key = m1 | m2
+            acc = get(key)
+            out[key] = prod if acc is None else acc + prod
+        if len(out) > limit:
+            raise TermLimitError(f"wedge expansion reached {len(out)} terms (budget {limit})")
+    return out
+
+
+def _encode(f: "Form") -> dict[int, Poly]:
+    n = f.size
+    return {sum(1 << ((r - 1) * n + c - 1) for r, c in gens): coeff
+            for gens, coeff in f.terms.items()}
+
+
+def _decode(mask: int, gens: tuple[Var, ...]) -> tuple[Var, ...]:
+    """The generator tuple of a mask, made of the shared Var tuples `gens`."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(gens[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
+
+
+def _accumulate(out: dict, key, value) -> None:
+    """Add value into out[key], dropping the entry when the sum is zero."""
+    acc = out.get(key)
+    acc = value if acc is None else acc + value
+    if acc.is_zero:
+        out.pop(key, None)
+    else:
+        out[key] = acc
 
 
 class Form:
@@ -69,6 +117,8 @@ class Form:
                     raise DegreeError(f"generator tuple {gens} does not match degree {degree}")
                 if list(gens) != sorted(gens) or len(set(gens)) != len(gens):
                     raise ValueError(f"generator tuple not strictly increasing: {gens}")
+                if any(not (1 <= r <= size and 1 <= c <= size) for r, c in gens):
+                    raise DimensionError(f"generator outside the {size}x{size} matrix: {gens}")
                 if coeff.size != size:
                     raise DimensionError("coefficient ambient size mismatch")
                 if not coeff.is_zero:
@@ -76,6 +126,15 @@ class Form:
         self.terms = clean
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, size: int, degree: int, terms: dict[tuple[Var, ...], Poly]) -> "Form":
+        """Wrap valid terms (increasing tuples, nonzero coefficients) unchecked."""
+        form = object.__new__(cls)
+        form.size = size
+        form.degree = degree
+        form.terms = terms
+        return form
 
     @classmethod
     def zero(cls, size: int, degree: int = 0) -> "Form":
@@ -121,16 +180,11 @@ class Form:
             raise DegreeError(f"cannot add forms of degree {self.degree} and {other.degree}")
         out = dict(self.terms)
         for gens, coeff in other.terms.items():
-            acc = out.get(gens)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero:
-                out.pop(gens, None)
-            else:
-                out[gens] = acc
-        return Form(self.size, self.degree, out)
+            _accumulate(out, gens, coeff)
+        return Form._trusted(self.size, self.degree, out)
 
     def __neg__(self) -> "Form":
-        return Form(self.size, self.degree, {g: -c for g, c in self.terms.items()})
+        return Form._trusted(self.size, self.degree, {g: -c for g, c in self.terms.items()})
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
@@ -207,12 +261,7 @@ class VField:
             raise DimensionError("ambient sizes differ")
         out = dict(self.coeffs)
         for var, coeff in other.coeffs.items():
-            acc = out.get(var)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero:
-                out.pop(var, None)
-            else:
-                out[var] = acc
+            _accumulate(out, var, coeff)
         return VField(self.size, out)
 
     def __neg__(self) -> "VField":
@@ -252,57 +301,34 @@ def wedge(f: Form, g: Form) -> Form:
     degree = f.degree + g.degree
     if degree > f.size * f.size:
         return Form.zero(f.size, degree)
-    out: dict[tuple[Var, ...], Poly] = {}
-    for g1, c1 in f.terms.items():
-        for g2, c2 in g.terms.items():
-            merged = merge_generators(g1, g2)
-            if merged is None:
-                continue
-            sign, gens = merged
-            contrib = c1 * c2
-            if sign < 0:
-                contrib = -contrib
-            acc = out.get(gens)
-            acc = contrib if acc is None else acc + contrib
-            if acc.is_zero:
-                out.pop(gens, None)
-            else:
-                out[gens] = acc
-        config.check_budget(len(out), "wedge expansion")
-    return Form(f.size, degree, out)
+    out = _wedge_masks(_encode(f), _encode(g), config.get_max_terms())
+    gens = row_major_vars(f.size)
+    return Form._trusted(f.size, degree,
+                         {_decode(m, gens): c for m, c in out.items() if not c.is_zero})
 
 
 def wedge_power(f: Form, k: int) -> Form:
-    """Iterated wedge f^k (k >= 1) by binary exponentiation."""
+    """Iterated wedge f^k (k >= 1), one factor at a time: a sparse factor
+    keeps every product smaller than squaring would."""
     if k < 1:
         raise ValueError("wedge_power needs a positive exponent")
-    result: Form | None = None
-    base = f
-    e = k
-    while e:
-        if e & 1:
-            result = base if result is None else wedge(result, base)
-        e >>= 1
-        if e:
-            base = wedge(base, base)
+    result = f
+    for _ in range(k - 1):
+        result = wedge(result, f)
     return result
 
 
 def ext_d(f: Form) -> Form:
-    """Exterior derivative, applied coefficient-wise."""
-    out = Form.zero(f.size, f.degree + 1)
+    """Exterior derivative: each dv is inserted into dxI at its row-major slot."""
+    out: dict[tuple[Var, ...], Poly] = {}
     for gens, coeff in f.terms.items():
         for var in sorted(coeff.variables()):
+            slot = bisect.bisect_left(gens, var)
+            if slot < len(gens) and gens[slot] == var:
+                continue
             d = coeff.diff(var)
-            if d.is_zero:
-                continue
-            merged = merge_generators((var,), gens)
-            if merged is None:
-                continue
-            sign, new_gens = merged
-            term = d if sign > 0 else -d
-            out = out + Form(f.size, f.degree + 1, {new_gens: term})
-    return out
+            _accumulate(out, gens[:slot] + (var,) + gens[slot:], -d if slot % 2 else d)
+    return Form._trusted(f.size, f.degree + 1, out)
 
 
 def interior_product(x: VField, f: Form) -> Form:
@@ -311,18 +337,14 @@ def interior_product(x: VField, f: Form) -> Form:
         raise DegreeError("interior product needs a form of degree >= 1")
     if x.size != f.size:
         raise DimensionError("ambient sizes differ")
-    out = Form.zero(f.size, f.degree - 1)
+    out: dict[tuple[Var, ...], Poly] = {}
     for gens, coeff in f.terms.items():
         for slot, var in enumerate(gens):
             xv = x.coeffs.get(var)
-            if xv is None:
-                continue
-            contrib = coeff * xv
-            if slot % 2:
-                contrib = -contrib
-            rest = gens[:slot] + gens[slot + 1:]
-            out = out + Form(f.size, f.degree - 1, {rest: contrib})
-    return out
+            if xv is not None:
+                contrib = coeff * xv
+                _accumulate(out, gens[:slot] + gens[slot + 1:], -contrib if slot % 2 else contrib)
+    return Form._trusted(f.size, f.degree - 1, out)
 
 
 def lie_derivative(x: VField, f: Form) -> Form:
@@ -341,10 +363,7 @@ def vf_bracket(x: VField, y: VField) -> VField:
     for var, yc in y.coeffs.items():
         out[var] = x.apply(yc)
     for var, xc in x.coeffs.items():
-        d = y.apply(xc)
-        acc = out.get(var)
-        acc = -d if acc is None else acc - d
-        out[var] = acc
+        _accumulate(out, var, -y.apply(xc))
     return VField(x.size, out)
 
 
@@ -385,30 +404,18 @@ def covector_transport(a: list[list[Poly]], side: str, base: Form) -> Form:
         coeffs[gens[0]] = coeff.constant_value()
     adj = adjugate(a)
     out: dict[tuple[Var, ...], Poly] = {}
-    if side == "left":
-        # theta(a)(w) = base(a^-1 w): coefficient of da[k,l] is
-        # sum_i adj[i][k] * base[i,l]
-        for k in range(1, n + 1):
-            for l in range(1, n + 1):
-                acc = Poly.zero(size)
-                for i in range(1, n + 1):
-                    c = coeffs.get((i, l))
-                    if c:
-                        acc = acc + adj[i - 1][k - 1] * c
-                if not acc.is_zero:
-                    out[((k, l),)] = acc
-    else:
-        # theta(a)(w) = base(w a^-1): coefficient of da[i,k] is
-        # sum_j base[i,j] * adj[k][j]
-        for i in range(1, n + 1):
-            for k in range(1, n + 1):
-                acc = Poly.zero(size)
-                for j in range(1, n + 1):
-                    c = coeffs.get((i, j))
-                    if c:
-                        acc = acc + adj[k - 1][j - 1] * c
-                if not acc.is_zero:
-                    out[((i, k),)] = acc
+    for r in range(1, n + 1):
+        for c in range(1, n + 1):
+            if side == "left":  # base(a^-1 w): da[r,c] gets sum_i adj[i][r] * base[i,c]
+                pairs = ((adj[i - 1][r - 1], (i, c)) for i in range(1, n + 1))
+            else:  # base(w a^-1): da[r,c] gets sum_j base[r,j] * adj[c][j]
+                pairs = ((adj[c - 1][j - 1], (r, j)) for j in range(1, n + 1))
+            acc = Poly.zero(size)
+            for entry, var in pairs:
+                if coeffs.get(var):
+                    acc = acc + entry * coeffs[var]
+            if not acc.is_zero:
+                out[((r, c),)] = acc
     return Form(size, 1, out)
 
 

@@ -6,7 +6,8 @@ together with analytically supplied partial derivatives; nothing here is ever
 differentiated numerically (finite differences appear only as a self-test in
 the suite). Class computations expand wedge powers combinatorially over the
 chart basis, which matches the wedge-power definition of the class directly
-and keeps the module dependency-free.
+and keeps the module dependency-free. The expansion is the exact layer's own
+wedge kernel: d theta_{i+1} is bit i of a {mask: float} dict.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import ParameterError
-from .exterior import merge_generators
+from .exterior import _wedge_masks
 
 TWO_PI = 2.0 * math.pi
 
@@ -93,18 +94,6 @@ def t5_lutz_form() -> FormFn:
 BUILTIN_FORMS = {"t3": t3_form, "t5-lutz": t5_lutz_form}
 
 
-def _float_wedge(f: dict, g: dict) -> dict:
-    out: dict[tuple, float] = {}
-    for t1, c1 in f.items():
-        for t2, c2 in g.items():
-            merged = merge_generators(t1, t2)
-            if merged is None:
-                continue
-            sign, gens = merged
-            out[gens] = out.get(gens, 0.0) + sign * c1 * c2
-    return out
-
-
 def _norm(f: dict) -> float:
     return max((abs(v) for v in f.values()), default=0.0)
 
@@ -114,13 +103,13 @@ def _alpha_dalpha(f: FormFn, point):
     for i in range(f.dim):
         v = f.coeff[i](point)
         if v:
-            alpha[(i + 1,)] = v
+            alpha[1 << i] = v
     dalpha = {}
     for i in range(f.dim):
         for j in range(i + 1, f.dim):
             v = f.partial[j][i](point) - f.partial[i][j](point)
             if v:
-                dalpha[(i + 1, j + 1)] = v
+                dalpha[1 << i | 1 << j] = v
     return alpha, dalpha
 
 
@@ -138,23 +127,25 @@ def pointwise_class(f: FormFn, point, tol: float = 1e-9) -> PointClassReport:
     Finds the largest p with ||(d a)^p|| > tol; the class is 2p+1 when
     ||a ^ (d a)^p|| > tol and 2p otherwise.
     """
-    if tol <= 0:
-        raise ParameterError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"tolerance must be finite and positive, got {tol}")
     point = tuple(float(x) for x in point)
     if len(point) != f.dim:
         raise ParameterError(f"point has length {len(point)}, chart dimension is {f.dim}")
     alpha, dalpha = _alpha_dalpha(f, point)
     best_p = 0
     power = dalpha
-    while _norm(power) > tol and 2 * (best_p + 1) <= f.dim:
+    while _norm(power) > tol:
         best_p += 1
-        power = _float_wedge(power, dalpha)
+        if 2 * (best_p + 1) > f.dim:
+            break  # (d a)^(p+1) vanishes above the chart dimension
+        power = _wedge_masks(power, dalpha)
     if best_p == 0:
         mag = _norm(alpha)
         return PointClassReport(point, 1 if mag > tol else 0, mag, tol)
     top = alpha
     for _ in range(best_p):
-        top = _float_wedge(top, dalpha)
+        top = _wedge_masks(top, dalpha)
     mag = _norm(top)
     cls = 2 * best_p + 1 if mag > tol else 2 * best_p
     return PointClassReport(point, cls, mag, tol)
@@ -196,28 +187,19 @@ class ScanReport:
 
 def contact_scan(f: FormFn, points, tol: float = 1e-9) -> ScanReport:
     """Class statistics over a point set; points is an iterable of chart points."""
-    min_cls = None
-    max_cls = None
-    min_mag = None
-    reports = []
-    n = 0
-    for pt in points:
-        r = pointwise_class(f, pt, tol)
-        n += 1
-        reports.append(r)
-        min_cls = r.cls if min_cls is None else min(min_cls, r.cls)
-        max_cls = r.cls if max_cls is None else max(max_cls, r.cls)
-        min_mag = r.magnitude if min_mag is None else min(min_mag, r.magnitude)
-    if n == 0:
+    reports = [pointwise_class(f, pt, tol) for pt in points]
+    if not reports:
         raise ParameterError("empty point set")
+    classes = [r.cls for r in reports]
+    max_cls = max(classes)
     submax = [r.point for r in reports if r.cls < max_cls][:20]
     return ScanReport(
         form=f.name,
-        n_points=n,
+        n_points=len(reports),
         tol=tol,
-        min_class=min_cls,
+        min_class=min(classes),
         max_class=max_cls,
-        min_magnitude=min_mag,
+        min_magnitude=min(r.magnitude for r in reports),
         submaximal_points=submax,
     )
 

@@ -58,7 +58,7 @@ class _Layout:
         self.size = size
         self.degree_shift = 8 * count
         self.guard = int.from_bytes(b"\x80" * (count + 1), "big")
-        self.vars = [(r, c) for r in range(1, size + 1) for c in range(1, size + 1)]
+        self.vars = tuple((r, c) for r in range(1, size + 1) for c in range(1, size + 1))
         self.shift = {var: 8 * (count - 1 - i) for i, var in enumerate(self.vars)}
 
     def exponents(self, m: int) -> bytes:
@@ -94,6 +94,11 @@ def _layout(size: int) -> _Layout:
     if lay is None:
         lay = _LAYOUTS[size] = _Layout(size)
     return lay
+
+
+def row_major_vars(size: int) -> tuple[Var, ...]:
+    """The Var tuples a[1,1], a[1,2], ..., a[n,n] of one size, shared package-wide."""
+    return _layout(size).vars
 
 
 def _coeff(value) -> int | Fraction:

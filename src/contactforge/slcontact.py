@@ -245,7 +245,7 @@ def verify_contact_identity(p: int, frame: SLFrame | None = None) -> ContactRepo
         rep.add("quotient is a scalar multiple of V", True, True, "derived", CONFIRMED)
 
     claimed = -(2 ** (2 * p * p + p - 1))
-    dw_top = wedge_power(d_omega, 2 * p * p)
+    dw_top = wedge(power, d_omega)
     dw_scalar = dw_top.coefficient(vol).constant_value()
 
     volume_ok = constant == claimed

@@ -189,6 +189,14 @@ def test_library_entry_points_reject_empty_or_negative_counts(call):
         call()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+def test_non_finite_or_non_positive_tolerance_exits_2_without_traceback(tol, capsys):
+    assert run(["scan", "--form", "t3", "--points", "5", f"--tol={tol}"]) == 2
+    err = capsys.readouterr().err
+    assert "must be finite and > 0" in err
+    assert "Traceback" not in err
+
+
 def test_broken_frame_check_exits_1_with_an_error_line(monkeypatch, capsys):
     monkeypatch.setattr(slcontact, "vf_bracket", lambda x, y: types.SimpleNamespace(is_zero=False))
     assert run(["verify-contact", "--p", "1"]) == 1

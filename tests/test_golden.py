@@ -1,7 +1,8 @@
-"""Byte-identical reports: `all --p P` at the default samples and seed.
+"""Byte-identical reports: `all --p P` at the default samples and seed, and
+two 2000-point torus scans that pin the float path.
 
-The sha256s are the golden report hashes recorded in ROADMAP.md; only a
-deliberate `__version__` bump may change them.
+The `all` sha256s are the golden report hashes recorded in ROADMAP.md; only a
+deliberate `__version__` bump may change them or the scan hashes.
 """
 
 import hashlib
@@ -16,6 +17,13 @@ from contactforge import cli
 GOLDEN_SHA256 = {
     1: "4bd2b7feb0f13d1c3b45981996261d8351d74fbad6d7a23be86377480e44fbfc",
     2: "66cf2e306b81d6f27bbe55bc59def10107bd5b07ac18d1cfc9d8329185c324c8",
+}
+
+SCAN_GOLDEN_SHA256 = {
+    "t5-lutz": (["--form", "t5-lutz"],
+                "32f888e695375612af3847f5f86d1fd6aec112ad163ca3ffcb296df72aa6acba"),
+    "t3-n1-3": (["--form", "t3", "--n1", "3"],
+                "c32d433393876b941b962156cd8b50de0ab6cdfa5022696591cd016c78a65cec"),
 }
 
 
@@ -36,3 +44,12 @@ def test_run_full_audit_script_reproduces_golden_reports(tmp_path, monkeypatch, 
     assert sorted(f.name for f in tmp_path.iterdir()) == ["audit_p1.json", "audit_p2.json"]
     for p, digest in GOLDEN_SHA256.items():
         assert hashlib.sha256((tmp_path / f"audit_p{p}.json").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_GOLDEN_SHA256))
+def test_scan_report_matches_golden_sha256(name, tmp_path, capsys):
+    form_args, digest = SCAN_GOLDEN_SHA256[name]
+    path = tmp_path / f"scan_{name}.json"
+    code = cli.main(["scan", *form_args, "--points", "2000", "--seed", "0", "--json", str(path)])
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -45,8 +45,11 @@ def test_closed_constant_form_class_1():
 
 
 def test_bad_tolerance_raises():
-    with pytest.raises(ParameterError):
-        pointwise_class(t3_form(1), (0.0, 0.0, 0.0), tol=0.0)
+    for tol in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ParameterError, match="finite and positive"):
+            pointwise_class(t3_form(1), (0.0, 0.0, 0.0), tol=tol)
+        with pytest.raises(ParameterError):
+            contact_scan(t3_form(1), random_points(3, 5, seed=0), tol)
 
 
 def test_t3_grid_scan():

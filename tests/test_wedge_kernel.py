@@ -1,0 +1,233 @@
+"""The bitmask wedge kernel against a tuple-merge reference that shares no code
+with it, on exact Poly forms and on the float forms of the torus scans."""
+
+import random
+import types
+
+import pytest
+
+from contactforge import config, exterior
+from contactforge.errors import DegreeError, DimensionError, TermLimitError
+from contactforge.exterior import Form, ext_d, wedge, wedge_power
+from contactforge.numeric import _wedge_masks, pointwise_class, random_points, t3_form, t5_lutz_form
+from contactforge.polyring import Poly
+
+
+# -- reference: the tuple-merge wedge the kernel replaced ------------------------
+
+
+def reference_merge(t1: tuple, t2: tuple):
+    """(sign, merged) of two strictly increasing tuples, None on a shared entry."""
+    if not t1:
+        return 1, t2
+    if not t2:
+        return 1, t1
+    merged = []
+    sign = 1
+    i = j = 0
+    n1, n2 = len(t1), len(t2)
+    while i < n1 and j < n2:
+        if t1[i] == t2[j]:
+            return None
+        if t1[i] < t2[j]:
+            merged.append(t1[i])
+            i += 1
+        else:
+            merged.append(t2[j])
+            j += 1
+            if (n1 - i) % 2:
+                sign = -sign
+    merged.extend(t1[i:])
+    merged.extend(t2[j:])
+    return sign, tuple(merged)
+
+
+def reference_wedge(f: dict, g: dict) -> dict:
+    """Poly-coefficient wedge of {generator tuple: Poly} dicts, zeros dropped."""
+    out = {}
+    for g1, c1 in f.items():
+        for g2, c2 in g.items():
+            merged = reference_merge(g1, g2)
+            if merged is None:
+                continue
+            sign, gens = merged
+            contrib = c1 * c2 if sign > 0 else -(c1 * c2)
+            acc = out.get(gens)
+            acc = contrib if acc is None else acc + contrib
+            if acc.is_zero:
+                out.pop(gens, None)
+            else:
+                out[gens] = acc
+    return out
+
+
+def reference_float_wedge(f: dict, g: dict) -> dict:
+    out = {}
+    for t1, c1 in f.items():
+        for t2, c2 in g.items():
+            merged = reference_merge(t1, t2)
+            if merged is None:
+                continue
+            sign, gens = merged
+            out[gens] = out.get(gens, 0.0) + sign * c1 * c2
+    return out
+
+
+def reference_pointwise_class(f, point, tol=1e-9):
+    """(class, magnitude) by the tuple-merge route, powers up to the chart bound."""
+    norm = lambda form: max((abs(v) for v in form.values()), default=0.0)
+    alpha = {(i + 1,): v for i in range(f.dim) if (v := f.coeff[i](point))}
+    dalpha = {}
+    for i in range(f.dim):
+        for j in range(i + 1, f.dim):
+            v = f.partial[j][i](point) - f.partial[i][j](point)
+            if v:
+                dalpha[(i + 1, j + 1)] = v
+    best_p = 0
+    power = dalpha
+    while norm(power) > tol and 2 * (best_p + 1) <= f.dim:
+        best_p += 1
+        power = reference_float_wedge(power, dalpha)
+    if best_p == 0:
+        mag = norm(alpha)
+        return (1 if mag > tol else 0), mag
+    top = alpha
+    for _ in range(best_p):
+        top = reference_float_wedge(top, dalpha)
+    mag = norm(top)
+    return (2 * best_p + 1 if mag > tol else 2 * best_p), mag
+
+
+# -- random forms -----------------------------------------------------------------
+
+
+def cancelling_form(rng: random.Random, size: int, degree: int) -> Form:
+    """A form over few generators with coefficients from a small pool, so that
+    products collide on one generator tuple and often cancel there."""
+    pool = [Poly.const(size, 1), Poly.const(size, -1), Poly.variable(size, 1, 1),
+            -Poly.variable(size, 1, 1), Poly.variable(size, 1, 1) + Poly.const(size, 2)]
+    gens = [(r, c) for r in range(1, size + 1) for c in range(1, size + 1)]
+    gens = rng.sample(gens, min(len(gens), 2 * degree + 1))
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        key = tuple(sorted(rng.sample(gens, degree)))
+        terms[key] = terms.get(key, Poly.zero(size)) + rng.choice(pool)
+    return Form(size, degree, {k: c for k, c in terms.items() if not c.is_zero})
+
+
+def test_poly_wedge_matches_the_tuple_merge_reference():
+    rng = random.Random(2024)
+    cancelled = 0
+    for _ in range(600):
+        size = rng.randint(2, 4)
+        d1 = rng.randint(0, 4)
+        f = cancelling_form(rng, size, d1)
+        if rng.random() < 0.5:  # g shares f's terms: at odd degree their pairs cancel
+            g = f + cancelling_form(rng, size, d1)
+        else:
+            g = cancelling_form(rng, size, rng.randint(0, 4))
+        got = wedge(f, g)
+        expected = reference_wedge(f.terms, g.terms)
+        assert got.terms == expected
+        assert got.degree == f.degree + g.degree
+        assert all(not c.is_zero for c in got.terms.values())
+        merged = (reference_merge(a, b) for a in f.terms for b in g.terms)
+        cancelled += any(m[1] not in expected for m in merged if m is not None)
+        if d1 % 2:  # an odd form squares to zero by cancellation alone
+            assert wedge(f, f).is_zero and not reference_wedge(f.terms, f.terms)
+    assert cancelled >= 30  # products where some generator tuple cancelled out
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_float_kernel_matches_the_tuple_merge_reference(dim):
+    rng = random.Random(dim)
+    for _ in range(300):
+        forms = []
+        for _ in range(2):
+            degree = rng.randint(0, dim)
+            form = {}
+            for _ in range(rng.randint(0, 6)):
+                key = tuple(sorted(rng.sample(range(1, dim + 1), degree)))
+                form[key] = rng.choice([1.0, -1.0, rng.uniform(-2.0, 2.0)])
+            forms.append(form)
+        expected = reference_float_wedge(*forms)
+        masks = [{sum(1 << (i - 1) for i in key): c for key, c in form.items()}
+                 for form in forms]
+        got = _wedge_masks(*masks)
+        decoded = {tuple(i + 1 for i in range(dim) if m >> i & 1): c for m, c in got.items()}
+        assert list(decoded.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("form, seed", [(t5_lutz_form(), 11), (t3_form(3), 12)],
+                         ids=["t5-lutz", "t3-n1-3"])
+def test_pointwise_magnitudes_are_bit_equal_to_the_reference_route(form, seed):
+    for point in random_points(form.dim, 4000, seed):
+        got = pointwise_class(form, point)
+        cls, mag = reference_pointwise_class(form, point)
+        assert (got.cls, got.magnitude) == (cls, mag)
+        assert mag > 0
+
+
+# -- the public constructor and the budget ---------------------------------------------
+
+
+def test_public_form_constructor_keeps_every_check():
+    one = Poly.const(2, 1)
+    with pytest.raises(DegreeError):
+        Form(2, -1)
+    with pytest.raises(DegreeError):
+        Form(2, 2, {((1, 1),): one})
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        Form(2, 2, {((1, 2), (1, 1)): one})
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        Form(2, 2, {((1, 1), (1, 1)): one})
+    with pytest.raises(DimensionError):
+        Form(2, 1, {((1, 1),): Poly.const(3, 1)})
+    with pytest.raises(DimensionError):  # da[1,3] would alias bit 2, da[2,1], of a 2x2 mask
+        Form(2, 1, {((1, 3),): one})
+
+
+def sum_of_generators(size, gens):
+    return Form(size, 1, {(g,): Poly.const(size, 1) for g in gens})
+
+
+def test_over_budget_wedge_raises_and_reads_the_budget_once(monkeypatch):
+    reads = []
+    budget = [10 ** 9]
+
+    def get_max_terms():
+        reads.append(1)
+        return budget[0]
+
+    monkeypatch.setattr(exterior, "config", types.SimpleNamespace(get_max_terms=get_max_terms))
+    f = sum_of_generators(3, [(1, 1), (1, 2), (1, 3)])
+    g = sum_of_generators(3, [(2, 1), (2, 2)])
+    assert len(wedge(f, g).terms) == 6
+    assert len(reads) == 1
+    # each row of f adds two terms: the second row passes the budget, the third is not run
+    budget[0] = 3
+    with pytest.raises(TermLimitError, match=r"reached 4 terms \(budget 3\)"):
+        wedge(f, g)
+    assert len(reads) == 2
+
+
+def test_configured_budget_stops_a_wedge():
+    f = sum_of_generators(2, [(1, 1), (1, 2), (2, 1)])
+    config.set_max_terms(2)
+    try:
+        with pytest.raises(TermLimitError):
+            wedge(f, f)
+    finally:
+        config.set_max_terms(None)
+
+
+# -- wedge powers -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_wedge_power_equals_the_k_fold_wedge(p, request):
+    d_omega = ext_d(request.getfixturevalue(f"frame_p{p}").omega)
+    expected = dict(d_omega.terms)
+    for k in range(1, 5):
+        assert wedge_power(d_omega, k).terms == expected
+        expected = reference_wedge(d_omega.terms, expected)
