@@ -205,7 +205,7 @@ class Suite:
 SUITES: dict[str, Suite] = {
     "verify-contact": Suite(
         lambda a, frame: verify_contact_identity(a.p, frame()).report,
-        "expand the top-degree contact identity", (1, 2)),
+        "expand the top-degree contact identity", (1, 2, 3)),
     "reeb": Suite(
         lambda a, frame: reeb_field(a.p, frame()).report,
         "audit the quoted Reeb field", ()),

@@ -20,6 +20,11 @@ tuple in row-major order. Two terms meet only when their masks are disjoint;
 the product's mask is their union, and its sign is the parity of the
 inversions between the two masks: the number of pairs (i in m1, j in m2) with
 i > j, read as one int.bit_count per pair (see `_above_parity`).
+
+When every coefficient of both factors is a constant Poly, as in the powers
+(d omega)^k of the contact identity and in pointwise classes, `wedge` runs
+the kernel on the int/Fraction scalars instead and wraps each nonzero sum
+once with Poly.const; any other product runs on the Poly coefficients.
 """
 
 from __future__ import annotations
@@ -78,6 +83,16 @@ def _encode(f: "Form") -> dict[int, Poly]:
     n = f.size
     return {sum(1 << ((r - 1) * n + c - 1) for r, c in gens): coeff
             for gens, coeff in f.terms.items()}
+
+
+def _scalars(f: dict[int, Poly]) -> dict | None:
+    """{mask: int or Fraction} when every coefficient is a constant Poly, else None."""
+    out = {}
+    for mask, coeff in f.items():
+        if not coeff.is_constant:
+            return None
+        out[mask] = coeff._terms.get(0, 0)  # the packed constant monomial is 0
+    return out
 
 
 def _decode(mask: int, gens: tuple[Var, ...]) -> tuple[Var, ...]:
@@ -296,14 +311,21 @@ class VField:
 
 
 def wedge(f: Form, g: Form) -> Form:
-    """Graded-anticommutative exterior product."""
+    """Graded-anticommutative exterior product (constant factors run on scalars)."""
     f._check_compat(g)
+    size = f.size
     degree = f.degree + g.degree
-    if degree > f.size * f.size:
-        return Form.zero(f.size, degree)
-    out = _wedge_masks(_encode(f), _encode(g), config.get_max_terms())
-    gens = row_major_vars(f.size)
-    return Form._trusted(f.size, degree,
+    if degree > size * size:
+        return Form.zero(size, degree)
+    ef, eg = _encode(f), _encode(g)
+    gens = row_major_vars(size)
+    sf, sg = _scalars(ef), _scalars(eg)
+    if sf is not None and sg is not None:
+        out = _wedge_masks(sf, sg, config.get_max_terms())
+        return Form._trusted(size, degree,
+                             {_decode(m, gens): Poly.const(size, c) for m, c in out.items() if c})
+    out = _wedge_masks(ef, eg, config.get_max_terms())
+    return Form._trusted(size, degree,
                          {_decode(m, gens): c for m, c in out.items() if not c.is_zero})
 
 

@@ -14,6 +14,7 @@ random covectors and score them against the classical bounds.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -80,35 +81,27 @@ class LieAlg:
 
 
 def _validate_jacobi(g: LieAlg) -> None:
-    n = g.dim
+    """Check the Jacobi identity on every triple e_i, e_j, e_k with i < j < k.
 
-    def nested(a: int, b: int, c: int) -> dict[int, Fraction]:
-        # [e_a, [e_b, e_c]] through the sparse tables only
-        out: dict[int, Fraction] = {}
-        for m, coeff in g.bracket_basis(b, c).items():
-            for k, inner in g.bracket_basis(a, m).items():
-                acc = out.get(k, Fraction(0)) + coeff * inner
-                if acc:
-                    out[k] = acc
-                else:
-                    out.pop(k, None)
-        return out
+    Integral structure constants are checked over the ints, so only tables
+    with fractional constants (from `file:` algebras) run on Fractions.
+    """
+    table: dict[tuple[int, int], list[tuple[int, int | Fraction]]] = {}
+    for (i, j), comp in g.brackets.items():
+        items = [(k, v.numerator if v.denominator == 1 else v) for k, v in comp.items()]
+        table[(i, j)] = items
+        table[(j, i)] = [(k, -v) for k, v in items]
 
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                acc: dict[int, Fraction] = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for t, v in nested(a, b, c).items():
-                        s = acc.get(t, Fraction(0)) + v
-                        if s:
-                            acc[t] = s
-                        else:
-                            acc.pop(t, None)
-                if acc:
-                    raise InvalidAlgebraError(
-                        f"Jacobi identity fails on (e_{i}, e_{j}, e_{k}): {acc}"
-                    )
+    for i, j, k in itertools.combinations(range(1, g.dim + 1), 3):
+        # the cyclic sum of [e_a, [e_b, e_c]], through the sparse tables only
+        acc: dict[int, int | Fraction] = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, coeff in table.get((b, c), ()):
+                for t, inner in table.get((a, m), ()):
+                    acc[t] = acc.get(t, 0) + coeff * inner
+        bad = {t: v for t, v in acc.items() if v}
+        if bad:
+            raise InvalidAlgebraError(f"Jacobi identity fails on (e_{i}, e_{j}, e_{k}): {bad}")
 
 
 # -- builders -----------------------------------------------------------------

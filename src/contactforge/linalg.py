@@ -20,18 +20,35 @@ def identity(n: int) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    """Product A B, accumulated row by row over the nonzero entries only."""
+    """Product A B, accumulated over the integers on the nonzero entries only.
+
+    Row k of B is scaled to integers by the lcm d_k of its denominators (once,
+    on first use). In each row of A the nonzero x_k / d_k are put on one
+    common denominator D, the integer weights times the integer rows of B are
+    summed, and one Fraction(sum, D) is built per nonzero output entry.
+    """
     inner, cols = len(b), len(b[0])
     assert all(len(r) == inner for r in a)
+    scaled: list = [None] * inner  # row k of B as (d_k, [(j, d_k * B[k][j]) if nonzero])
+    zero = Fraction(0)
     out = []
     for row in a:
-        acc = [Fraction(0)] * cols
-        for x, row_b in zip(row, b):
+        terms = []
+        for k, x in enumerate(row):
             if x:
-                for j, y in enumerate(row_b):
-                    if y:
-                        acc[j] += x * y
-        out.append(acc)
+                if scaled[k] is None:
+                    nz = [(j, y) for j, y in enumerate(b[k]) if y]
+                    lcm = math.lcm(*(y.denominator for _, y in nz))
+                    scaled[k] = (lcm, [(j, y.numerator * (lcm // y.denominator)) for j, y in nz])
+                lcm, entries = scaled[k]
+                terms.append((x.numerator, x.denominator * lcm, entries))
+        common = math.lcm(*(d for _, d, _ in terms))
+        acc = [0] * cols
+        for num, d, entries in terms:
+            w = num * (common // d)
+            for j, y in entries:
+                acc[j] += w * y
+        out.append([Fraction(v, common) if v else zero for v in acc])
     return out
 
 

@@ -241,6 +241,8 @@ def singular_scan(f: FormFn, directions, points, tol: float = 1e-9, seed: int = 
     directions are 1-based chart axes. Invariance of every coefficient and
     partial along those axes is checked by evaluation at shifted points.
     """
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"tolerance must be finite and positive, got {tol}")
     dirs = tuple(directions)
     if any(not 1 <= d <= f.dim for d in dirs):
         raise ParameterError("invariance directions must be chart axes")

@@ -563,13 +563,15 @@ def sample_group_point(group: str, n: int, seed: int) -> linalg.Mat:
         raise ParameterError("could not sample an SO point (persistent Cayley pole)")
     if group == "H":
         p = n
-        basis = h_matrix_basis(p)
+        entries = [[(i, j, v) for i, row in enumerate(b) for j, v in enumerate(row) if v]
+                   for b in h_matrix_basis(p)]
         for attempt in range(100):
             rng = random.Random(_mix_seed(3, p, seed, attempt))
             y = [[Fraction(0)] * (2 * p) for _ in range(2 * p)]
-            for b in basis:
+            for nonzero in entries:
                 c = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-                y = [[y[i][j] + c * b[i][j] for j in range(2 * p)] for i in range(2 * p)]
+                for i, j, v in nonzero:
+                    y[i][j] += c * v
             a = _cayley(y)
             if a is not None:
                 return a

@@ -1,6 +1,7 @@
 """Command-line contract: subcommands, exit codes, JSON determinism."""
 
 import json
+import math
 import pathlib
 import types
 
@@ -34,6 +35,23 @@ def test_verify_contact_p1(tmp_path, capsys):
     assert volume["verdict"] == "confirmed"
     other = by_anchor["factorization constant under the reading Theta = (d omega)^(2p^2)"]
     assert other["verdict"] == "reported-only"
+
+
+def test_verify_contact_p3(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run(["verify-contact", "--p", "3", "--json", str(out)]) == 0
+    by_anchor = {c["anchor"]: c for c in json.loads(out.read_text())["claims"]}
+    # derived closed form: (-2)^(N-1) (N-1)! 2p with N = 2p^2 = 18
+    constant = (-2) ** 17 * math.factorial(17) * 6
+    assert constant == -279723975452393472000
+    volume = by_anchor["factorization constant under the reading Theta = V"]
+    assert volume["computed"] == str(constant)
+    assert volume["reference"] == -(2 ** 20)  # the quoted -2^(2p^2+p-1)
+    other = by_anchor["factorization constant under the reading Theta = (d omega)^(2p^2)"]
+    assert other["computed"] == str(constant)
+    # both readings of the quoted constant stay reported-only; every other claim holds
+    assert volume["verdict"] == other["verdict"] == "reported-only"
+    assert {c["verdict"] for a, c in by_anchor.items() if c not in (volume, other)} == {"confirmed"}
 
 
 def test_h_algebra_p2(capsys):

@@ -276,3 +276,23 @@ def test_survey_classes_script(monkeypatch, capsys):
     assert all("(ok)" in line and "histogram" in line for line in families)
     assert "all-ones diagonal dual sum: class 7 (wedge route 7; quoted value was 13)" in out
     assert "regular combination 1,2,3:  class 13" in out
+
+
+def sl3_table(tmp_path, delta) -> str:
+    """sl(3) as a structure-constant file, with [e_1, e_3] moved by delta."""
+    base = sl_algebra(3)
+    lines = [f"dim {base.dim}"]
+    for (i, j), comp in sorted(base.brackets.items()):
+        for k, v in sorted(comp.items()):
+            lines.append(f"{i} {j} {k} {v + delta if (i, j) == (1, 3) else v}")
+    path = tmp_path / "sl3.alg"
+    path.write_text("\n".join(lines) + "\n")
+    return f"file:{path}"
+
+
+@pytest.mark.parametrize("delta", [F(1), F(1, 3)], ids=["integral", "fractional"])
+def test_a_broken_jacobi_table_raises(tmp_path, delta):
+    # the integral table is checked over the ints, the fractional one in Fractions
+    with pytest.raises(InvalidAlgebraError, match="Jacobi identity fails"):
+        build_algebra(sl3_table(tmp_path, delta))
+    assert build_algebra(sl3_table(tmp_path, 0)).brackets == sl_algebra(3).brackets

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 from contactforge import linalg
+from contactforge.slcontact import _cayley, _mix_seed, h_matrix_basis, sample_group_point
 
 
 def rand_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -131,9 +132,25 @@ def _mixed_matrix(rng, rows, cols):
 
 def test_mat_mul_equals_dense_triple_sum():
     rng = random.Random(17)
-    for _ in range(60):
+    zero_lines = 0
+    for trial in range(180):
         rows, inner, cols = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        if trial % 3 == 1:  # 1 x n times n x m
+            rows = 1
+        elif trial % 3 == 2:  # n x m times m x 1
+            cols = 1
         a, b = _mixed_matrix(rng, rows, inner), _mixed_matrix(rng, inner, cols)
+        if rng.random() < 0.5:  # an all-zero row of A or of B, or column of B
+            line = rng.randrange(3)
+            if line == 0:
+                a[rng.randrange(rows)] = [0] * inner
+            elif line == 1:
+                b[rng.randrange(inner)] = [Fraction(0)] * cols
+            else:
+                j = rng.randrange(cols)
+                for row in b:
+                    row[j] = 0
+            zero_lines += 1
         product = linalg.mat_mul(a, b)
         dense = [
             [sum((Fraction(a[i][k]) * b[k][j] for k in range(inner)), Fraction(0))
@@ -142,6 +159,24 @@ def test_mat_mul_equals_dense_triple_sum():
         ]
         assert product == dense
         assert all(type(x) is Fraction for row in product for x in row)
+    assert zero_lines >= 60
+
+
+def test_h_sampler_equals_the_dense_accumulation():
+    # the H point before the sparse accumulation: every basis matrix added densely
+    for p, seed in ((1, 0), (2, 5), (3, 1), (3, 9)):
+        basis = h_matrix_basis(p)
+        n = 2 * p
+        for attempt in range(100):
+            rng = random.Random(_mix_seed(3, p, seed, attempt))
+            y = [[Fraction(0)] * n for _ in range(n)]
+            for b in basis:
+                c = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                y = [[y[i][j] + c * b[i][j] for j in range(n)] for i in range(n)]
+            a = _cayley(y)
+            if a is not None:
+                break
+        assert sample_group_point("H", p, seed) == a
 
 
 def test_rank_with_mixed_denominators_and_zero_rows():

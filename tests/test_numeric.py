@@ -50,6 +50,8 @@ def test_bad_tolerance_raises():
             pointwise_class(t3_form(1), (0.0, 0.0, 0.0), tol=tol)
         with pytest.raises(ParameterError):
             contact_scan(t3_form(1), random_points(3, 5, seed=0), tol)
+        with pytest.raises(ParameterError, match="finite and positive"):
+            singular_scan(t5_lutz_form(), (4, 5), random_points(5, 5, seed=0), tol=tol)
 
 
 def test_t3_grid_scan():

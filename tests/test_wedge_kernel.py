@@ -1,8 +1,10 @@
 """The bitmask wedge kernel against a tuple-merge reference that shares no code
 with it, on exact Poly forms and on the float forms of the torus scans."""
 
+import math
 import random
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -101,11 +103,21 @@ def reference_pointwise_class(f, point, tol=1e-9):
 # -- random forms -----------------------------------------------------------------
 
 
-def cancelling_form(rng: random.Random, size: int, degree: int) -> Form:
+def poly_pool(size: int) -> list[Poly]:
+    """Constant and non-constant coefficients: a form may take either wedge path."""
+    x = Poly.variable(size, 1, 1)
+    return [Poly.const(size, 1), Poly.const(size, -1), x, -x, x + Poly.const(size, 2)]
+
+
+def constant_pool(size: int) -> list[Poly]:
+    """Int and Fraction constants only: every wedge takes the scalar path."""
+    return [Poly.const(size, v) for v in (1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 7))]
+
+
+def cancelling_form(rng: random.Random, size: int, degree: int, pool=poly_pool) -> Form:
     """A form over few generators with coefficients from a small pool, so that
     products collide on one generator tuple and often cancel there."""
-    pool = [Poly.const(size, 1), Poly.const(size, -1), Poly.variable(size, 1, 1),
-            -Poly.variable(size, 1, 1), Poly.variable(size, 1, 1) + Poly.const(size, 2)]
+    pool = pool(size)
     gens = [(r, c) for r in range(1, size + 1) for c in range(1, size + 1)]
     gens = rng.sample(gens, min(len(gens), 2 * degree + 1))
     terms = {}
@@ -115,27 +127,46 @@ def cancelling_form(rng: random.Random, size: int, degree: int) -> Form:
     return Form(size, degree, {k: c for k, c in terms.items() if not c.is_zero})
 
 
-def test_poly_wedge_matches_the_tuple_merge_reference():
-    rng = random.Random(2024)
-    cancelled = 0
-    for _ in range(600):
-        size = rng.randint(2, 4)
-        d1 = rng.randint(0, 4)
-        f = cancelling_form(rng, size, d1)
-        if rng.random() < 0.5:  # g shares f's terms: at odd degree their pairs cancel
-            g = f + cancelling_form(rng, size, d1)
+def test_poly_wedge_matches_the_tuple_merge_reference(monkeypatch):
+    paths = []
+    kernel = exterior._wedge_masks
+
+    def spy(f, g, limit=math.inf):
+        paths.append(all(type(c) in (int, Fraction) for c in (*f.values(), *g.values())))
+        return kernel(f, g, limit)
+
+    monkeypatch.setattr(exterior, "_wedge_masks", spy)
+    for pool in (poly_pool, constant_pool):
+        rng = random.Random(2024)
+        cancelled = 0
+        taken = {True: 0, False: 0}
+        for _ in range(600):
+            size = rng.randint(2, 4)
+            d1 = rng.randint(0, 4)
+            f = cancelling_form(rng, size, d1, pool)
+            if rng.random() < 0.5:  # g shares f's terms: at odd degree their pairs cancel
+                g = f + cancelling_form(rng, size, d1, pool)
+            else:
+                g = cancelling_form(rng, size, rng.randint(0, 4), pool)
+            paths.clear()
+            got = wedge(f, g)
+            expected = reference_wedge(f.terms, g.terms)
+            assert got.terms == expected
+            assert got.degree == f.degree + g.degree
+            assert all(not c.is_zero for c in got.terms.values())
+            # the scalar path runs exactly when every coefficient of both factors is constant
+            constant = all(c.is_constant for c in (*f.terms.values(), *g.terms.values()))
+            assert paths in ([], [constant])
+            taken[constant] += len(paths)
+            merged = (reference_merge(a, b) for a in f.terms for b in g.terms)
+            cancelled += any(m[1] not in expected for m in merged if m is not None)
+            if d1 % 2:  # an odd form squares to zero by cancellation alone
+                assert wedge(f, f).is_zero and not reference_wedge(f.terms, f.terms)
+        assert cancelled >= 30  # products where some generator tuple cancelled out
+        if pool is poly_pool:  # both paths, and mixed factors take the Poly one
+            assert taken[True] >= 30 and taken[False] >= 100
         else:
-            g = cancelling_form(rng, size, rng.randint(0, 4))
-        got = wedge(f, g)
-        expected = reference_wedge(f.terms, g.terms)
-        assert got.terms == expected
-        assert got.degree == f.degree + g.degree
-        assert all(not c.is_zero for c in got.terms.values())
-        merged = (reference_merge(a, b) for a in f.terms for b in g.terms)
-        cancelled += any(m[1] not in expected for m in merged if m is not None)
-        if d1 % 2:  # an odd form squares to zero by cancellation alone
-            assert wedge(f, f).is_zero and not reference_wedge(f.terms, f.terms)
-    assert cancelled >= 30  # products where some generator tuple cancelled out
+            assert taken[True] >= 300 and not taken[False]
 
 
 @pytest.mark.parametrize("dim", [3, 5])
@@ -187,8 +218,9 @@ def test_public_form_constructor_keeps_every_check():
         Form(2, 1, {((1, 3),): one})
 
 
-def sum_of_generators(size, gens):
-    return Form(size, 1, {(g,): Poly.const(size, 1) for g in gens})
+def sum_of_generators(size, gens, coeff=None):
+    coeff = Poly.const(size, 1) if coeff is None else coeff
+    return Form(size, 1, {(g,): coeff for g in gens})
 
 
 def test_over_budget_wedge_raises_and_reads_the_budget_once(monkeypatch):
@@ -200,15 +232,19 @@ def test_over_budget_wedge_raises_and_reads_the_budget_once(monkeypatch):
         return budget[0]
 
     monkeypatch.setattr(exterior, "config", types.SimpleNamespace(get_max_terms=get_max_terms))
-    f = sum_of_generators(3, [(1, 1), (1, 2), (1, 3)])
-    g = sum_of_generators(3, [(2, 1), (2, 2)])
-    assert len(wedge(f, g).terms) == 6
-    assert len(reads) == 1
-    # each row of f adds two terms: the second row passes the budget, the third is not run
-    budget[0] = 3
-    with pytest.raises(TermLimitError, match=r"reached 4 terms \(budget 3\)"):
-        wedge(f, g)
-    assert len(reads) == 2
+    # constant coefficients take the scalar path, a[3,3] the Poly path
+    for coeff in (Poly.const(3, 1), Poly.variable(3, 3, 3)):
+        reads.clear()
+        budget[0] = 10 ** 9
+        f = sum_of_generators(3, [(1, 1), (1, 2), (1, 3)], coeff)
+        g = sum_of_generators(3, [(2, 1), (2, 2)], coeff)
+        assert len(wedge(f, g).terms) == 6
+        assert len(reads) == 1
+        # each row of f adds two terms: the second row passes the budget, the third is not run
+        budget[0] = 3
+        with pytest.raises(TermLimitError, match=r"reached 4 terms \(budget 3\)"):
+            wedge(f, g)
+        assert len(reads) == 2
 
 
 def test_configured_budget_stops_a_wedge():
