@@ -211,7 +211,7 @@ SUITES: dict[str, Suite] = {
         "audit the quoted Reeb field", ()),
     "structural": Suite(
         lambda a, frame: structural_checks(a.p, frame()),
-        "brackets, Lie derivatives, duality table", (1, 2)),
+        "brackets, Lie derivatives, duality table", (1, 2, 3)),
     "invariance": Suite(
         # the p = 3 loci need no frame: every value there is a point evaluation
         lambda a, frame: invariance_loci(a.p, a.samples, a.seed, frame() if a.p <= 2 else None),

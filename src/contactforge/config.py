@@ -35,9 +35,3 @@ def get_max_terms() -> int:
         if value > 0:
             return value
     return DEFAULT_MAX_TERMS
-
-
-def check_budget(count: int, what: str = "expansion") -> None:
-    limit = get_max_terms()
-    if count > limit:
-        raise TermLimitError(f"{what} reached {count} terms (budget {limit})")

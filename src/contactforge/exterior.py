@@ -1,10 +1,9 @@
 """Differential forms and vector fields with polynomial coefficients.
 
 Forms live on the ambient coordinate space of an n x n matrix: generators are
-the differentials da[r,c], kept as strictly increasing row-major tuples, with
-Poly coefficients. Vector fields carry Poly coefficients on the coordinate
-derivations. All values are immutable and every operation is pure, so results
-are exact and reproducible.
+the differentials da[r,c], with Poly coefficients. Vector fields carry Poly
+coefficients on the coordinate derivations. All values are immutable and every
+operation is pure, so results are exact and reproducible.
 
 Sign conventions, fixed once for the whole package:
   * generator order and the reference volume form V = da[1,1]^da[1,2]^...^da[n,n]
@@ -12,14 +11,16 @@ Sign conventions, fixed once for the whole package:
   * d(P dxI) = sum_v (dP/dv) dv ^ dxI;
   * the Lie derivative is the Cartan formula i(X)d + d i(X).
 
-Wedge products of Poly forms and of the float forms in `numeric` run through
-one kernel over {mask: coeff} dicts (the blade bitmaps of Dorst, Fontijne and
-Mann, Geometric Algebra for Computer Science, ch. 19). Generator da[r,c] is
-bit (r-1)*n + (c-1), so a mask's bits in increasing order are the generator
-tuple in row-major order. Two terms meet only when their masks are disjoint;
-the product's mask is their union, and its sign is the parity of the
-inversions between the two masks: the number of pairs (i in m1, j in m2) with
-i > j, read as one int.bit_count per pair (see `_above_parity`).
+A Form keeps its terms as one {mask: Poly} dict (the blade bitmaps of Dorst,
+Fontijne and Mann, Geometric Algebra for Computer Science, ch. 19): da[r,c] is
+bit (r-1)*n + (c-1), so a mask's bits in increasing order are the row-major
+generator tuple. Tuples appear only where the public constructor encodes them,
+with its checks, and in the read-only `Form.terms` view. d and contraction set
+or clear bit b with the sign of the parity of the mask's bits below b. Poly
+forms and the float forms in `numeric` share one wedge kernel over {mask:
+coeff} dicts: disjoint masks meet in their union, signed by the parity of the
+pairs (i in m1, j in m2) with i > j, one int.bit_count per pair (see
+`_above_parity`).
 
 When every coefficient of both factors is a constant Poly, as in the powers
 (d omega)^k of the contact identity and in pointwise classes, `wedge` runs
@@ -29,13 +30,13 @@ once with Poly.const; any other product runs on the Poly coefficients.
 
 from __future__ import annotations
 
-import bisect
+import functools
 import math
 from fractions import Fraction
 
 from . import config
 from .errors import DegreeError, DimensionError, TermLimitError
-from .polyring import Poly, Var, minor, row_major_vars
+from .polyring import Poly, TermView, Var, minor, row_major_vars
 
 
 def _above_parity(mask: int) -> int:
@@ -79,12 +80,6 @@ def _wedge_masks(f: dict, g: dict, limit: float = math.inf) -> dict:
     return out
 
 
-def _encode(f: "Form") -> dict[int, Poly]:
-    n = f.size
-    return {sum(1 << ((r - 1) * n + c - 1) for r, c in gens): coeff
-            for gens, coeff in f.terms.items()}
-
-
 def _scalars(f: dict[int, Poly]) -> dict | None:
     """{mask: int or Fraction} when every coefficient is a constant Poly, else None."""
     out = {}
@@ -93,6 +88,27 @@ def _scalars(f: dict[int, Poly]) -> dict | None:
             return None
         out[mask] = coeff._terms.get(0, 0)  # the packed constant monomial is 0
     return out
+
+
+@functools.cache
+def _bits(size: int) -> dict[Var, int]:
+    """The mask bit of each generator da[r,c] of one matrix size."""
+    return {var: 1 << i for i, var in enumerate(row_major_vars(size))}
+
+
+def _encode(gens: tuple[Var, ...], n: int) -> int:
+    """The mask of a generator tuple; DimensionError for a generator outside
+    the n x n matrix, ValueError unless the tuple is strictly increasing."""
+    bits = _bits(n)
+    mask = 0
+    for var in gens:
+        bit = bits.get(var)
+        if bit is None:
+            raise DimensionError(f"generator outside the {n}x{n} matrix: {gens}")
+        if bit <= mask:
+            raise ValueError(f"generator tuple not strictly increasing: {gens}")
+        mask |= bit
+    return mask
 
 
 def _decode(mask: int, gens: tuple[Var, ...]) -> tuple[Var, ...]:
@@ -116,39 +132,36 @@ def _accumulate(out: dict, key, value) -> None:
 
 
 class Form:
-    """Exterior form of fixed degree with Poly coefficients."""
+    """Exterior form of fixed degree with Poly coefficients, kept as {mask: Poly}."""
 
-    __slots__ = ("size", "degree", "terms")
+    __slots__ = ("size", "degree", "_terms")
 
     def __init__(self, size: int, degree: int, terms: dict[tuple[Var, ...], Poly] | None = None):
         if degree < 0:
             raise DegreeError(f"negative form degree {degree}")
         self.size = size
         self.degree = degree
-        clean: dict[tuple[Var, ...], Poly] = {}
+        clean: dict[int, Poly] = {}
         if terms:
             for gens, coeff in terms.items():
                 if len(gens) != degree:
                     raise DegreeError(f"generator tuple {gens} does not match degree {degree}")
-                if list(gens) != sorted(gens) or len(set(gens)) != len(gens):
-                    raise ValueError(f"generator tuple not strictly increasing: {gens}")
-                if any(not (1 <= r <= size and 1 <= c <= size) for r, c in gens):
-                    raise DimensionError(f"generator outside the {size}x{size} matrix: {gens}")
+                mask = _encode(gens, size)
                 if coeff.size != size:
                     raise DimensionError("coefficient ambient size mismatch")
                 if not coeff.is_zero:
-                    clean[gens] = coeff
-        self.terms = clean
+                    clean[mask] = coeff
+        self._terms = clean
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, size: int, degree: int, terms: dict[tuple[Var, ...], Poly]) -> "Form":
-        """Wrap valid terms (increasing tuples, nonzero coefficients) unchecked."""
+    def _trusted(cls, size: int, degree: int, terms: dict[int, Poly]) -> "Form":
+        """Wrap valid {mask: nonzero Poly} terms unchecked."""
         form = object.__new__(cls)
         form.size = size
         form.degree = degree
-        form.terms = terms
+        form._terms = terms
         return form
 
     @classmethod
@@ -167,8 +180,15 @@ class Form:
     # -- structure -----------------------------------------------------------
 
     @property
+    def terms(self) -> TermView:
+        """The terms as a read-only {generator tuple: Poly} mapping."""
+        size = self.size
+        return TermView(self._terms, functools.partial(_decode, gens=row_major_vars(size)),
+                        functools.partial(_encode, n=size))
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def _check_compat(self, other: "Form") -> None:
         if self.size != other.size:
@@ -181,7 +201,7 @@ class Form:
             return False
         if self.is_zero and other.is_zero:
             return True
-        return self.degree == other.degree and self.terms == other.terms
+        return self.degree == other.degree and self._terms == other._terms
 
     __hash__ = None
 
@@ -193,13 +213,13 @@ class Form:
             return other
         if self.degree != other.degree:
             raise DegreeError(f"cannot add forms of degree {self.degree} and {other.degree}")
-        out = dict(self.terms)
-        for gens, coeff in other.terms.items():
-            _accumulate(out, gens, coeff)
+        out = dict(self._terms)
+        for mask, coeff in other._terms.items():
+            _accumulate(out, mask, coeff)
         return Form._trusted(self.size, self.degree, out)
 
     def __neg__(self) -> "Form":
-        return Form._trusted(self.size, self.degree, {g: -c for g, c in self.terms.items()})
+        return Form._trusted(self.size, self.degree, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
@@ -210,7 +230,8 @@ class Form:
             factor = scalar
         else:
             factor = Poly.const(self.size, scalar)
-        return Form(self.size, self.degree, {g: c * factor for g, c in self.terms.items()})
+        out = {m: prod for m, c in self._terms.items() if not (prod := c * factor).is_zero}
+        return Form._trusted(self.size, self.degree, out)
 
     __rmul__ = __mul__
 
@@ -220,15 +241,16 @@ class Form:
     def as_poly(self) -> Poly:
         if self.degree != 0:
             raise DegreeError(f"degree-{self.degree} form is not a scalar")
-        return self.terms.get((), Poly.zero(self.size))
+        return self._terms.get(0, Poly.zero(self.size))
 
     def evaluate_coefficients(self, point: dict[Var, Fraction]) -> "Form":
         """Same form with every coefficient evaluated at a rational point."""
-        return Form(
-            self.size,
-            self.degree,
-            {g: Poly.const(self.size, c.evaluate(point)) for g, c in self.terms.items()},
-        )
+        out = {}
+        for mask, coeff in self._terms.items():
+            value = coeff.evaluate(point)
+            if value:
+                out[mask] = Poly.const(self.size, value)
+        return Form._trusted(self.size, self.degree, out)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -317,16 +339,12 @@ def wedge(f: Form, g: Form) -> Form:
     degree = f.degree + g.degree
     if degree > size * size:
         return Form.zero(size, degree)
-    ef, eg = _encode(f), _encode(g)
-    gens = row_major_vars(size)
-    sf, sg = _scalars(ef), _scalars(eg)
+    sf, sg = _scalars(f._terms), _scalars(g._terms)
     if sf is not None and sg is not None:
         out = _wedge_masks(sf, sg, config.get_max_terms())
-        return Form._trusted(size, degree,
-                             {_decode(m, gens): Poly.const(size, c) for m, c in out.items() if c})
-    out = _wedge_masks(ef, eg, config.get_max_terms())
-    return Form._trusted(size, degree,
-                         {_decode(m, gens): c for m, c in out.items() if not c.is_zero})
+        return Form._trusted(size, degree, {m: Poly.const(size, c) for m, c in out.items() if c})
+    out = _wedge_masks(f._terms, g._terms, config.get_max_terms())
+    return Form._trusted(size, degree, {m: c for m, c in out.items() if not c.is_zero})
 
 
 def wedge_power(f: Form, k: int) -> Form:
@@ -341,31 +359,37 @@ def wedge_power(f: Form, k: int) -> Form:
 
 
 def ext_d(f: Form) -> Form:
-    """Exterior derivative: each dv is inserted into dxI at its row-major slot."""
-    out: dict[tuple[Var, ...], Poly] = {}
-    for gens, coeff in f.terms.items():
+    """Exterior derivative: each dv sets its bit, signed by the bits below it."""
+    bits = _bits(f.size)
+    out: dict[int, Poly] = {}
+    for mask, coeff in f._terms.items():
         for var in sorted(coeff.variables()):
-            slot = bisect.bisect_left(gens, var)
-            if slot < len(gens) and gens[slot] == var:
+            bit = bits[var]
+            if mask & bit:
                 continue
             d = coeff.diff(var)
-            _accumulate(out, gens[:slot] + (var,) + gens[slot:], -d if slot % 2 else d)
+            _accumulate(out, mask | bit, -d if (mask & (bit - 1)).bit_count() & 1 else d)
     return Form._trusted(f.size, f.degree + 1, out)
 
 
 def interior_product(x: VField, f: Form) -> Form:
-    """Contraction i(X)f; degree drops by one."""
+    """Contraction i(X)f; degree drops by one. Each generator of a term is
+    cleared in increasing bit order, signed by the bits below it."""
     if f.degree < 1:
         raise DegreeError("interior product needs a form of degree >= 1")
     if x.size != f.size:
         raise DimensionError("ambient sizes differ")
-    out: dict[tuple[Var, ...], Poly] = {}
-    for gens, coeff in f.terms.items():
-        for slot, var in enumerate(gens):
-            xv = x.coeffs.get(var)
-            if xv is not None:
-                contrib = coeff * xv
-                _accumulate(out, gens[:slot] + gens[slot + 1:], -contrib if slot % 2 else contrib)
+    bits = _bits(f.size)
+    along = {bits[var]: c for var, c in x.coeffs.items() if var in bits}
+    support = sum(along)
+    out: dict[int, Poly] = {}
+    for mask, coeff in f._terms.items():
+        hit = mask & support
+        while hit:
+            bit = hit & -hit
+            hit ^= bit
+            prod = coeff * along[bit]
+            _accumulate(out, mask ^ bit, -prod if (mask & (bit - 1)).bit_count() & 1 else prod)
     return Form._trusted(f.size, f.degree - 1, out)
 
 
@@ -389,19 +413,6 @@ def vf_bracket(x: VField, y: VField) -> VField:
     return VField(x.size, out)
 
 
-def adjugate(mat: list[list[Poly]]) -> list[list[Poly]]:
-    """Adjugate matrix: adj(A)[i][j] = (-1)^(i+j) * minor(A, j, i)."""
-    n = len(mat)
-    out = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            m = minor(mat, j, i)
-            row.append(m if (i + j) % 2 == 0 else -m)
-        out.append(row)
-    return out
-
-
 def covector_transport(a: list[list[Poly]], side: str, base: Form) -> Form:
     """Transport a constant covector at the identity along a translation.
 
@@ -420,25 +431,27 @@ def covector_transport(a: list[list[Poly]], side: str, base: Form) -> Form:
     if n != size or any(len(row) != n for row in a):
         raise DimensionError("matrix shape does not match the ambient size")
     coeffs = {}
-    for gens, coeff in base.terms.items():
+    for (var,), coeff in base.terms.items():
         if not coeff.is_constant:
             raise ValueError("transport expects constant coefficients (a covector at the identity)")
-        coeffs[gens[0]] = coeff.constant_value()
-    adj = adjugate(a)
-    out: dict[tuple[Var, ...], Poly] = {}
+        coeffs[var] = coeff.constant_value()
+    # the adjugate is adj[i][j] = (-1)^(i+j) minor(a, j, i); its sign goes on the scalar
+    minors = {(i, j): minor(a, i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+    bits = _bits(size)
+    out: dict[int, Poly] = {}
     for r in range(1, n + 1):
         for c in range(1, n + 1):
             if side == "left":  # base(a^-1 w): da[r,c] gets sum_i adj[i][r] * base[i,c]
-                pairs = ((adj[i - 1][r - 1], (i, c)) for i in range(1, n + 1))
+                pairs = ((minors[r, i], i + r, (i, c)) for i in range(1, n + 1))
             else:  # base(w a^-1): da[r,c] gets sum_j base[r,j] * adj[c][j]
-                pairs = ((adj[c - 1][j - 1], (r, j)) for j in range(1, n + 1))
+                pairs = ((minors[j, c], c + j, (r, j)) for j in range(1, n + 1))
             acc = Poly.zero(size)
-            for entry, var in pairs:
+            for entry, parity, var in pairs:
                 if coeffs.get(var):
-                    acc = acc + entry * coeffs[var]
+                    acc = acc + entry * (-coeffs[var] if parity % 2 else coeffs[var])
             if not acc.is_zero:
-                out[((r, c),)] = acc
-    return Form(size, 1, out)
+                out[bits[(r, c)]] = acc
+    return Form._trusted(size, 1, out)
 
 
 def class_at_point(f: Form, point: dict[Var, Fraction]) -> int:

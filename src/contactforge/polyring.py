@@ -125,43 +125,47 @@ def _poly(size: int, terms: dict, frac: bool) -> "Poly":
     p.size = size
     p._terms = terms
     p._frac = frac
-    p._view = None
     return p
 
 
 class TermView(Mapping):
-    """Read-only tuple-monomial view of a Poly's terms; len() does not decode."""
+    """Read-only view of Poly or Form terms under tuple keys; len() does not decode.
+    A tuple `encode` rejects (DimensionError, ValueError, ...) is not a key."""
 
-    __slots__ = ("_terms", "_size")
+    __slots__ = ("_terms", "_decode", "_encode")
 
-    def __init__(self, terms: dict, size: int):
+    def __init__(self, terms: dict, decode, encode):
         self._terms = terms
-        self._size = size
+        self._decode = decode
+        self._encode = encode
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def __iter__(self):
-        return map(_layout(self._size).decode, self._terms)
+        return map(self._decode, self._terms)
 
-    def __getitem__(self, mono):
+    def __getitem__(self, key):
         try:
-            return self._terms[_layout(self._size).encode(mono)]
+            return self._terms[self._encode(key)]
         except (DimensionError, TermLimitError, ValueError, TypeError):
-            raise KeyError(mono) from None
+            raise KeyError(key) from None
 
     def items(self):
-        decode = _layout(self._size).decode
+        decode = self._decode
         return [(decode(m), c) for m, c in self._terms.items()]
+
+    def values(self):
+        return self._terms.values()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mapping):
             return NotImplemented
         if len(other) != len(self._terms):
             return False
-        encode = _layout(self._size).encode
+        encode = self._encode
         try:
-            encoded = {encode(m): c for m, c in other.items()}
+            encoded = {encode(k): c for k, c in other.items()}
         except (DimensionError, TermLimitError, ValueError, TypeError):
             return False
         return encoded == self._terms
@@ -170,7 +174,7 @@ class TermView(Mapping):
 class Poly:
     """Polynomial in the entries of an n x n coordinate matrix."""
 
-    __slots__ = ("size", "_terms", "_frac", "_view")
+    __slots__ = ("size", "_terms", "_frac")
 
     def __init__(self, size: int, terms: Mapping[Monomial, Fraction] | None = None):
         if size < 1:
@@ -190,7 +194,6 @@ class Poly:
                         del clean[key]
         self._terms = clean
         self._frac = _normalize(clean)
-        self._view = None
 
     # -- constructors ------------------------------------------------------
 
@@ -216,10 +219,8 @@ class Poly:
     @property
     def terms(self) -> TermView:
         """The terms as a read-only {tuple monomial: coefficient} mapping."""
-        view = self._view
-        if view is None:
-            view = self._view = TermView(self._terms, self.size)
-        return view
+        lay = _layout(self.size)
+        return TermView(self._terms, lay.decode, lay.encode)
 
     @property
     def is_zero(self) -> bool:

@@ -403,12 +403,7 @@ def structural_checks(p: int, frame: SLFrame | None = None) -> VerifyReport:
     for yi in indices:
         for ai in indices:
             lform = lie_derivative(frame.Y[yi], frame.alpha[ai])
-            residual = {
-                g: r
-                for g, c in lform.terms.items()
-                if not (r := reduce_mod_principal(c, shift)).is_zero
-            }
-            if residual:
+            if any(not reduce_mod_principal(c, shift).is_zero for c in lform.terms.values()):
                 lie_failures.append((yi, ai))
     rep.check(
         "L_Y alpha = 0 modulo (det - 1) for all pairs",
@@ -957,16 +952,11 @@ def u_decomposition(p: int, frame: SLFrame | None = None) -> VerifyReport:
         note="(sum u alpha - omega) ^ d(det) reduces to 0 mod (det - 1)",
     )
 
-    residual = {
-        g: r
-        for g, c in difference.terms.items()
-        if not (r := reduce_mod_principal(c, shift)).is_zero
-    }
-    gamma_ddelta_reduced = {
-        g: reduce_mod_principal(c, shift)
-        for g, c in (frame.d_delta * gamma).terms.items()
-        if not reduce_mod_principal(c, shift).is_zero
-    }
+    def reduced(form: Form) -> dict:
+        return {g: r for g, c in form.terms.items()
+                if not (r := reduce_mod_principal(c, shift)).is_zero}
+
+    residual = reduced(difference)
     rep.add(
         "literal coefficient-wise reading: sum u alpha = omega modulo (det - 1)",
         "residual gamma * d(det), nonzero" if residual else "residual 0",
@@ -979,7 +969,7 @@ def u_decomposition(p: int, frame: SLFrame | None = None) -> VerifyReport:
             "forms on the group, not of ambient coefficient polynomials"
         ),
     )
-    if residual and residual != gamma_ddelta_reduced:
+    if residual and residual != reduced(frame.d_delta * gamma):
         rep.add(
             "residual equals gamma * d(det) modulo (det - 1)",
             False,

@@ -54,6 +54,13 @@ def test_verify_contact_p3(tmp_path, capsys):
     assert {c["verdict"] for a, c in by_anchor.items() if c not in (volume, other)} == {"confirmed"}
 
 
+def test_structural_p3(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run(["structural", "--p", "3", "--json", str(out)]) == 0
+    verdicts = [c["verdict"] for c in json.loads(out.read_text())["claims"]]
+    assert verdicts == ["confirmed"] * 5
+
+
 def test_h_algebra_p2(capsys):
     assert run(["h-algebra", "--p", "2"]) == 0
     text = capsys.readouterr().out

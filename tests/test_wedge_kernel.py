@@ -1,6 +1,8 @@
-"""The bitmask wedge kernel against a tuple-merge reference that shares no code
-with it, on exact Poly forms and on the float forms of the torus scans."""
+"""The bitmask wedge kernel, d and contraction against tuple references that
+share no code with them, on exact Poly forms and on the float forms of the
+torus scans; the tuple view of mask-keyed forms."""
 
+import bisect
 import math
 import random
 import types
@@ -10,9 +12,11 @@ import pytest
 
 from contactforge import config, exterior
 from contactforge.errors import DegreeError, DimensionError, TermLimitError
-from contactforge.exterior import Form, ext_d, wedge, wedge_power
+from contactforge.exterior import Form, VField, ext_d, interior_product, wedge, wedge_power
 from contactforge.numeric import _wedge_masks, pointwise_class, random_points, t3_form, t5_lutz_form
 from contactforge.polyring import Poly
+
+from conftest import rand_poly
 
 
 # -- reference: the tuple-merge wedge the kernel replaced ------------------------
@@ -44,6 +48,15 @@ def reference_merge(t1: tuple, t2: tuple):
     return sign, tuple(merged)
 
 
+def reference_add(out: dict, key, value) -> None:
+    acc = out.get(key)
+    acc = value if acc is None else acc + value
+    if acc.is_zero:
+        out.pop(key, None)
+    else:
+        out[key] = acc
+
+
 def reference_wedge(f: dict, g: dict) -> dict:
     """Poly-coefficient wedge of {generator tuple: Poly} dicts, zeros dropped."""
     out = {}
@@ -53,13 +66,32 @@ def reference_wedge(f: dict, g: dict) -> dict:
             if merged is None:
                 continue
             sign, gens = merged
-            contrib = c1 * c2 if sign > 0 else -(c1 * c2)
-            acc = out.get(gens)
-            acc = contrib if acc is None else acc + contrib
-            if acc.is_zero:
-                out.pop(gens, None)
-            else:
-                out[gens] = acc
+            reference_add(out, gens, c1 * c2 if sign > 0 else -(c1 * c2))
+    return out
+
+
+def reference_ext_d(f: dict) -> dict:
+    """d of a {generator tuple: Poly} dict: dv goes to its bisect slot, signed by the slot."""
+    out = {}
+    for gens, coeff in f.items():
+        for var in sorted(coeff.variables()):
+            slot = bisect.bisect_left(gens, var)
+            if slot < len(gens) and gens[slot] == var:
+                continue
+            d = coeff.diff(var)
+            reference_add(out, gens[:slot] + (var,) + gens[slot:], -d if slot % 2 else d)
+    return out
+
+
+def reference_interior_product(x: VField, f: dict) -> dict:
+    """i(X) of a {generator tuple: Poly} dict: slot s is sliced out with sign (-1)^s."""
+    out = {}
+    for gens, coeff in f.items():
+        for slot, var in enumerate(gens):
+            xv = x.coeffs.get(var)
+            if xv is not None:
+                contrib = coeff * xv
+                reference_add(out, gens[:slot] + gens[slot + 1:], -contrib if slot % 2 else contrib)
     return out
 
 
@@ -167,6 +199,93 @@ def test_poly_wedge_matches_the_tuple_merge_reference(monkeypatch):
             assert taken[True] >= 30 and taken[False] >= 100
         else:
             assert taken[True] >= 300 and not taken[False]
+
+
+def random_field(rng: random.Random, size: int) -> VField:
+    gens = [(r, c) for r in range(1, size + 1) for c in range(1, size + 1)]
+    one = Poly.const(size, 1)
+    return VField(size, {v: rng.choice([one, -one, rand_poly(rng, size)])
+                         for v in rng.sample(gens, rng.randint(1, len(gens)))})
+
+
+def test_d_and_contraction_match_the_tuple_references():
+    rng = random.Random(909)
+    exact = contracted_twice = 0
+    for _ in range(400):
+        size = rng.randint(2, 4)
+        degree = rng.randint(0, 3)
+        # the pool's random polynomials give d more than a[1,1] to differentiate
+        pool = lambda n: [*poly_pool(n), rand_poly(rng, n, 3, 3), rand_poly(rng, n, 3, 3)]
+        f = cancelling_form(rng, size, degree, pool)
+        x = random_field(rng, size)
+        # equal terms in equal order: bits are visited as the tuple slots were
+        assert list(ext_d(f).terms.items()) == list(reference_ext_d(f.terms).items())
+        assert ext_d(f).degree == degree + 1
+        if degree:
+            got = interior_product(x, f)
+            assert list(got.terms.items()) == list(reference_interior_product(x, f.terms).items())
+            assert got.degree == degree - 1
+            # i(X) i(X) = 0: every term of the second contraction cancels
+            if degree >= 2 and not got.is_zero:
+                contracted_twice += 1
+                assert interior_product(x, got).is_zero
+                assert not reference_interior_product(x, got.terms)
+        # d d = 0 on a form built by the reference d: all of it cancels in ext_d
+        closed = Form(size, degree + 1, reference_ext_d(f.terms))
+        if not closed.is_zero and degree + 2 <= size * size:
+            exact += 1
+            assert ext_d(closed).is_zero
+    assert exact >= 150 and contracted_twice >= 50
+
+
+def test_contraction_ignores_a_field_component_outside_the_matrix():
+    # d/da[1,3] of a 2x2 matrix would alias bit 2, da[2,1], if it were given a bit
+    one = Poly.const(2, 1)
+    f = Form(2, 1, {((2, 1),): one})
+    x = VField(2, {(1, 3): one})
+    assert interior_product(x, f).is_zero
+    assert not reference_interior_product(x, f.terms)
+
+
+# -- the tuple view of mask-keyed forms -------------------------------------------
+
+
+def test_form_terms_view_decodes_only_when_read(monkeypatch):
+    one = Poly.const(3, 1)
+    x = Poly.variable(3, 2, 2)
+    tuples = {((1, 1), (2, 3)): one, ((1, 2), (3, 3)): x, ((2, 1), (3, 1)): -x}
+    form = Form(3, 2, tuples)
+    calls = []
+    decode = exterior._decode
+
+    def spy(mask, gens):
+        calls.append(mask)
+        return decode(mask, gens)
+
+    monkeypatch.setattr(exterior, "_decode", spy)
+    view = form.terms
+    assert len(view) == 3 and not calls
+    assert all(not c.is_zero for c in view.values()) and not calls
+    assert list(view) == list(tuples) and len(calls) == 3
+    assert view == tuples and dict(view) == tuples
+    assert view.items() == list(tuples.items())
+    assert form.coefficient(((1, 2), (3, 3))) == x
+
+
+@pytest.mark.parametrize("gens", [
+    ((2, 3), (1, 1)),  # unsorted
+    ((1, 1), (1, 1)),  # repeated
+    ((1, 1), (1, 4)),  # da[1,4] is outside; a bit formula would read it as da[2,1]
+    ((0, 1), (1, 1)),  # outside
+    ((1, 1),),  # wrong degree
+    ((1, 1), (2, 3), (3, 3)),
+    ("ab",),  # not a generator at all
+], ids=["unsorted", "repeated", "aliasing", "row-0", "short", "long", "garbage"])
+def test_a_malformed_tuple_is_not_in_the_view(gens):
+    one = Poly.const(3, 1)
+    form = Form(3, 2, {((1, 1), (2, 3)): one, ((1, 1), (2, 1)): one})
+    assert gens not in form.terms
+    assert form.coefficient(gens) == Poly.zero(3)
 
 
 @pytest.mark.parametrize("dim", [3, 5])
