@@ -54,7 +54,7 @@ def _cartan_class(args, frame) -> VerifyReport:
     if args.form:
         try:
             coords = tuple(Fraction(x) for x in args.form.split(","))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ParameterError(f"cannot parse --form {args.form!r}") from None
         if len(coords) != g.dim:
             raise ParameterError(f"--form needs {g.dim} coordinates for {g.label}")

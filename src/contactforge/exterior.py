@@ -278,10 +278,6 @@ class VField:
                     clean[var] = coeff
         self.coeffs = clean
 
-    @classmethod
-    def zero(cls, size: int) -> "VField":
-        return cls(size)
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -56,16 +56,6 @@ class LieAlg:
             return dict(self.brackets.get((i, j), {}))
         return {k: -v for k, v in self.brackets.get((j, i), {}).items()}
 
-    def bracket(self, u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-        """Bracket of two coordinate vectors."""
-        out = [Fraction(0)] * self.dim
-        for (i, j), comp in self.brackets.items():
-            factor = u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
-            if factor:
-                for k, c in comp.items():
-                    out[k - 1] += factor * c
-        return out
-
     def ad_matrix(self, x: list[Fraction]) -> linalg.Mat:
         """Matrix of ad(x): column j is [x, e_j], accumulated per bracket key."""
         n = self.dim
@@ -200,32 +190,48 @@ def heisenberg_algebra(dim: int) -> LieAlg:
     return LieAlg(dim, brackets, f"heisenberg({dim})")
 
 
+def _number(kind, text: str, where: str):
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        noun = "an integer" if kind is int else "a rational"
+        raise InvalidAlgebraError(f"{where}: {text!r} is not {noun}") from None
+
+
 def algebra_from_file(path: str) -> LieAlg:
     """Parse the structure-constant text format.
 
-    Header line `dim n`, then lines `i j k value` giving the e_k component of
-    [e_i, e_j] for i < j; unlisted components are zero. Values are rationals.
+    Header line `dim n` with n >= 1, then lines `i j k value` giving the e_k
+    component of [e_i, e_j] for i < j; unlisted components are zero. Values
+    are rationals. Any malformed line raises InvalidAlgebraError naming the
+    path and the line number.
     """
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if dim is None:
-                if len(parts) != 2 or parts[0] != "dim":
-                    raise InvalidAlgebraError(f"{path}:{lineno}: expected header 'dim n'")
-                dim = int(parts[1])
-                continue
-            if len(parts) != 4:
-                raise InvalidAlgebraError(f"{path}:{lineno}: expected 'i j k value'")
-            i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
-            if not i < j:
-                raise InvalidAlgebraError(f"{path}:{lineno}: need i < j, got {i} {j}")
-            value = Fraction(parts[3])
-            brackets.setdefault((i, j), {})[k] = value
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise InvalidAlgebraError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        where = f"{path}:{lineno}"
+        if dim is None:
+            if len(parts) != 2 or parts[0] != "dim":
+                raise InvalidAlgebraError(f"{where}: expected header 'dim n'")
+            dim = _number(int, parts[1], where)
+            if dim < 1:
+                raise InvalidAlgebraError(f"{where}: dim must be >= 1, got {dim}")
+            continue
+        if len(parts) != 4:
+            raise InvalidAlgebraError(f"{where}: expected 'i j k value'")
+        i, j, k = (_number(int, x, where) for x in parts[:3])
+        if not i < j:
+            raise InvalidAlgebraError(f"{where}: need i < j, got {i} {j}")
+        brackets.setdefault((i, j), {})[k] = _number(Fraction, parts[3], where)
     if dim is None:
         raise InvalidAlgebraError(f"{path}: empty structure-constant file")
     return LieAlg(dim, brackets, f"file:{path}")

@@ -1,9 +1,12 @@
 """Exact linear algebra over Fraction matrices (lists of lists).
 
-Gaussian elimination everywhere: rref over Fractions, and fraction-free
-(Bareiss) elimination over integers for rank, det and the adjugate. The
-matrices in scope are small (dimension at most 36), so clarity beats
-asymptotics. Nothing here ever touches floating point.
+One fraction-free (Bareiss) elimination over the integers serves rank, rref
+(and through it nullspace, solve and in_row_space) and det/adj (and through
+them det and inverse): rows are scaled to integers by the lcm of their
+denominators once, in one helper. rank eliminates forward only; rref and
+det/adj also clear above each pivot. The matrices in scope are small
+(dimension at most 36), so clarity beats asymptotics. Nothing here ever
+touches floating point.
 """
 
 from __future__ import annotations
@@ -60,110 +63,91 @@ def mat_sub(a: Mat, b: Mat) -> Mat:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def rref(a: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form (non-destructive); returns (R, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in a]
+def _integer_rows(a: Mat) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators; returns (integer rows, product of the lcms)."""
+    rows = []
+    scale = 1
+    for row in a:
+        lcm = math.lcm(*(x.denominator for x in row))
+        scale *= lcm
+        rows.append([x.numerator * (lcm // x.denominator) for x in row])
+    return rows, scale
+
+
+def _eliminate(m: list[list[int]], jordan: bool) -> tuple[list[int], int, int]:
+    """Fraction-free (Bareiss) elimination of the integer rows m, in place.
+
+    At the pivot of row r and column c, each updated row becomes
+    (pivot * row - row[c] * pivot row) / previous pivot. The division is exact
+    even when columns are skipped, since every entry stays a minor of m
+    (Bareiss 1968; Nakos, Turner & Williams 1997 for the Gauss-Jordan form). With jordan the rows above the pivot are cleared too, over
+    the whole row, so every pivot row ends with the last pivot in its pivot
+    column. Without it only the rows below are updated, right of c: rank
+    needs no more, and clearing above measured 2.5x slower on the
+    Cartan-class rank calls. Returns (pivot columns, parity sign of the row
+    swaps, last pivot).
+    """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def _int_rank(m: list[list[int]]) -> int:
-    """Rank by fraction-free (Bareiss) elimination over the integers.
-
-    Forward elimination only: the Gauss-Jordan loop of det_adj, which also
-    clears above each pivot, measured 2.5x slower on the Cartan-class rank calls.
-    """
-    m = [row[:] for row in m]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    prev = 1
+    sign = prev = 1
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, rows):
-            mic = m[i][c]
+            sign = -sign
+        row_r = m[r]
+        pivot = row_r[c]
+        for i in range(0 if jordan else r + 1, rows):
+            if i == r:
+                continue
             row_i = m[i]
-            row_r = m[r]
-            for j in range(c + 1, cols):
-                row_i[j] = (row_i[j] * pivot - mic * row_r[j]) // prev
+            f = row_i[c]
+            for j in range(0 if i < r else c + 1, cols):
+                row_i[j] = (row_i[j] * pivot - f * row_r[j]) // prev
             row_i[c] = 0
+        pivots.append(c)
         prev = pivot
         r += 1
-    return r
+    return pivots, sign, prev
+
+
+def rref(a: Mat) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form (non-destructive); returns (R, pivot columns)."""
+    m, _ = _integer_rows(a)
+    pivots, _, last = _eliminate(m, True)
+    zero = Fraction(0)
+    cols = len(m[0]) if m else 0
+    red = [[Fraction(x, last) for x in row] for row in m[:len(pivots)]]
+    return red + [[zero] * cols for _ in m[len(pivots):]], pivots
 
 
 def rank(a: Mat) -> int:
-    """Exact rank; each row is scaled by the lcm of its denominators to integers."""
-    if not a:
-        return 0
-    scaled = []
-    for row in a:
-        lcm = math.lcm(*(x.denominator for x in row))
-        scaled.append([x.numerator * (lcm // x.denominator) for x in row])
-    return _int_rank(scaled)
+    """Exact rank, by forward fraction-free elimination of the rows scaled to integers."""
+    return len(_eliminate(_integer_rows(a)[0], False)[0])
 
 
 def det_adj(a: Mat) -> tuple[Fraction, Mat | None]:
     """det(A) and adj(A) from one fraction-free Gauss-Jordan elimination of [A | I].
 
-    Rows of [A | I] are scaled to integers by their lcms, whose product is
-    `scale`. Step k sets every other row to (pivot * row - row[k] * pivot row)
-    / previous pivot, an exact division (Bareiss 1968). At the end the left
-    block is d I and the right block d A^-1, so det(A) = sign * d / scale and
-    adj(A) = sign * right / scale, sign being the parity of the row swaps.
-    A singular A gives (0, None).
+    The rows of [A | I] are scaled to integers, the identity block with them.
+    A is singular, giving (0, None), unless the pivots are the first n
+    columns. Then the left block ends as d I and the right block as d A^-1,
+    so det(A) = sign * d / scale and adj(A) = sign * right / scale, sign
+    being the parity of the row swaps and scale the product of the row lcms.
     """
     n = len(a)
-    scale = 1
-    m = []
-    for i, row in enumerate(a):
-        lcm = math.lcm(*(x.denominator for x in row))
-        scale *= lcm
-        m.append([x.numerator * (lcm // x.denominator) for x in row]
-                 + [lcm if j == i else 0 for j in range(n)])
-    sign = 1
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            return Fraction(0), None
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        row_k = m[k]
-        pivot = row_k[k]
-        for i in range(n):
-            if i != k:
-                f = m[i][k]
-                m[i] = [(pivot * x - f * y) // prev for x, y in zip(m[i], row_k)]
-        prev = pivot
+    m, scale = _integer_rows([[*row, *(int(j == i) for j in range(n))] for i, row in enumerate(a)])
+    pivots, sign, last = _eliminate(m, True)
+    if pivots[:n] != list(range(n)):
+        return Fraction(0), None
     return (
-        Fraction(sign * prev, scale),
+        Fraction(sign * last, scale),
         [[Fraction(sign * x, scale) for x in row[n:]] for row in m],
     )
 

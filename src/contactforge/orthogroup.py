@@ -24,9 +24,9 @@ from fractions import Fraction
 
 from .errors import ParameterError
 from .exterior import Form, covector_transport, ext_d, wedge
-from .polyring import Poly, Var, symbolic_matrix
+from .polyring import Poly, Var, row_major_vars, symbolic_matrix
 from .report import CONFIRMED, REPORTED_ONLY, VerifyReport
-from .slcontact import matrix_point, sample_group_point, volume_generators
+from .slcontact import identity_point, matrix_point, sample_group_point
 
 
 def constraint_order(n: int) -> list[tuple[int, int]]:
@@ -70,7 +70,7 @@ def so_constraint_system(n: int) -> SOConstraints:
     for row in rows[1:]:
         theta = wedge(theta, row)
 
-    columns = volume_generators(n)
+    columns = row_major_vars(n)
     jacobian = [
         [row.coefficient((var,)) for var in columns]
         for row in rows
@@ -114,7 +114,7 @@ def so3_contact_check(samples: int = 50, seed: int = 0) -> InducedFormReport:
     system = so_constraint_system(3)
     phi = induced_one_form(3)
     top = wedge(wedge(phi, ext_d(phi)), system.theta)
-    vol = volume_generators(3)
+    vol = row_major_vars(3)
     stray = [g for g in top.terms if g != vol]
     rep = VerifyReport("so3-check", {"samples": samples, "seed": seed})
     rep.check("top form is supported on the volume tuple only", stray, [], "derived")
@@ -205,15 +205,13 @@ def phi_transport_difference(n: int) -> Form:
     equals the matrix row, so the difference vanishes on the variety.
     """
     phi = induced_one_form(n)
-    phi_e = phi.evaluate_coefficients(
-        {(i, j): Fraction(int(i == j)) for i in range(1, n + 1) for j in range(1, n + 1)}
-    )
+    phi_e = phi.evaluate_coefficients(identity_point(n))
     return covector_transport(symbolic_matrix(n), "left", phi_e) - phi
 
 
 def theta_coefficient_via_minors(system: SOConstraints, gens: tuple[Var, ...]) -> Poly:
     """Coefficient of a generator tuple in Theta_n, recomputed as a Jacobian minor."""
-    columns = volume_generators(system.n)
+    columns = row_major_vars(system.n)
     col_index = {var: i for i, var in enumerate(columns)}
     picked = [col_index[g] for g in gens]
     sub = [[row[c] for c in picked] for row in system.jacobian]

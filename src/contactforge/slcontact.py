@@ -26,6 +26,7 @@ from .exterior import (
     wedge,
     wedge_power,
 )
+from .liealg import sl_basis_indices
 from .polyring import (
     Poly,
     Var,
@@ -33,6 +34,7 @@ from .polyring import (
     divmod_principal,
     minor,
     reduce_mod_principal,
+    row_major_vars,
     symbolic_matrix,
 )
 from .report import CONFIRMED, REFUTED, REPORTED_ONLY, VerifyReport
@@ -52,14 +54,6 @@ def _mix_seed(*parts: int) -> int:
     return h
 
 
-def frame_indices(p: int) -> list[FrameIndex]:
-    """Basis index order: diagonal (k,k), k < 2p, then off-diagonal row-major."""
-    n = 2 * p
-    idx = [(k, k) for k in range(1, n)]
-    idx += [(k, l) for k in range(1, n + 1) for l in range(1, n + 1) if k != l]
-    return idx
-
-
 def identity_point(n: int) -> dict[Var, Fraction]:
     return {(i, j): Fraction(int(i == j)) for i in range(1, n + 1) for j in range(1, n + 1)}
 
@@ -67,10 +61,6 @@ def identity_point(n: int) -> dict[Var, Fraction]:
 def matrix_point(a: linalg.Mat) -> dict[Var, Fraction]:
     n = len(a)
     return {(i + 1, j + 1): Fraction(a[i][j]) for i in range(n) for j in range(n)}
-
-
-def volume_generators(n: int) -> tuple[Var, ...]:
-    return tuple((i, j) for i in range(1, n + 1) for j in range(1, n + 1))
 
 
 @dataclass
@@ -117,7 +107,7 @@ def build_frame(p: int) -> SLFrame:
 
     x_fields: dict[FrameIndex, VField] = {}
     y_fields: dict[FrameIndex, VField] = {}
-    for k, l in frame_indices(p):
+    for k, l in sl_basis_indices(2 * p):
         if k == l:
             coeffs = {(i, k): a(i, k) for i in range(1, n + 1)}
             for i in range(1, n + 1):
@@ -132,7 +122,7 @@ def build_frame(p: int) -> SLFrame:
             y_fields[(k, l)] = VField(n, {(k, i): a(l, i) for i in range(1, n + 1)})
 
     alpha: dict[FrameIndex, Form] = {}
-    for k, l in frame_indices(p):
+    for k, l in sl_basis_indices(2 * p):
         terms = {}
         for i in range(1, n + 1):
             coeff = minors[(i, k)]
@@ -221,7 +211,7 @@ def verify_contact_identity(p: int, frame: SLFrame | None = None) -> ContactRepo
     d_omega = ext_d(frame.omega)
     power = wedge_power(d_omega, 2 * p * p - 1)
     top = wedge(wedge(frame.omega, power), frame.d_delta)
-    vol = volume_generators(n)
+    vol = row_major_vars(n)
     stray = [g for g in top.terms if g != vol]
     if stray:
         rep.add("top form is a multiple of the volume form", False, True, "derived", REFUTED,
@@ -385,7 +375,7 @@ def structural_checks(p: int, frame: SLFrame | None = None) -> VerifyReport:
     frame = frame or build_frame(p)
     rep = VerifyReport("structural", {"p": p})
     shift = frame.delta - 1
-    indices = frame_indices(p)
+    indices = sl_basis_indices(2 * p)
 
     bracket_failures = []
     for xi in indices:
@@ -493,7 +483,7 @@ def h_matrix_basis(p: int) -> list[linalg.Mat]:
     """Direct basis of {Y : JY + tY J = 0}: traceless 2x2 diagonal blocks plus
     free upper blocks mirrored by M[j][i] = J2 (M[i][j])^T J2."""
     n = 2 * p
-    j2 = [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]]
+    j2 = j_matrix(1)
     basis = []
 
     def place(block_i, block_j, b22):
@@ -811,7 +801,7 @@ def h_algebra(p: int) -> SubalgebraResult:
     rep.check("h consists of traceless matrices", traceless, True, "derived",
               note="for p = 1 this recovers sl(2) exactly" if p == 1 else "")
 
-    j2 = [[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]]
+    j2 = j_matrix(1)
 
     def block(y, bi, bj):
         return [[y[2 * bi + r][2 * bj + c] for c in range(2)] for r in range(2)]
@@ -873,7 +863,7 @@ def u_decomposition(p: int, frame: SLFrame | None = None) -> VerifyReport:
     n = frame.size
     rep = VerifyReport("u-decomp", {"p": p})
     shift = frame.delta - 1
-    indices = frame_indices(p)
+    indices = sl_basis_indices(2 * p)
 
     u = {kl: interior_product(frame.X[kl], frame.omega).as_poly() for kl in indices}
 

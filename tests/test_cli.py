@@ -156,6 +156,42 @@ def test_malformed_form_exits_2(capsys):
     assert run(["cartan-class", "--algebra", "so", "--n", "3", "--form", "1,2"]) == 2
 
 
+def test_zero_denominator_form_exits_2_without_traceback(capsys):
+    assert run(["cartan-class", "--algebra", "so", "--n", "3", "--form", "1/0,1,1"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot parse --form" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("dim x\n", 1, "'x' is not an integer"),
+    ("dim 3\n1 2.5 3 1\n", 2, "'2.5' is not an integer"),
+    ("dim 3\n1 2 3 abc\n", 2, "'abc' is not a rational"),
+    ("# so(3)\ndim 3\n1 2 3 1/0\n", 3, "'1/0' is not a rational"),
+    ("dim 0\n", 1, "dim must be >= 1"),
+    ("dim -3\n", 1, "dim must be >= 1"),
+], ids=["dim-x", "index", "value", "zero-denominator", "dim-0", "dim-negative"])
+@pytest.mark.parametrize("command", [
+    ["cartan-class"],
+    ["class-survey", "--rank", "1", "--samples", "3"],
+], ids=["cartan-class", "class-survey"])
+def test_malformed_algebra_file_exits_2_without_traceback(tmp_path, capsys, text, line, message,
+                                                          command):
+    alg = tmp_path / "bad.alg"
+    alg.write_text(text)
+    assert run([command[0], "--algebra", f"file:{alg}", *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{alg}:{line}: " in err and message in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_algebra_file_exits_2(tmp_path, capsys):
+    alg = tmp_path / "latin1.alg"
+    alg.write_bytes("dim 3\n# \u00e9\n".encode("latin-1"))
+    assert run(["cartan-class", "--algebra", f"file:{alg}"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {alg}: not UTF-8 text" in err and "Traceback" not in err
+
+
 def test_term_guard_exit_3(capsys):
     assert run(["verify-contact", "--p", "2", "--max-terms", "5"]) == 3
 

@@ -8,6 +8,31 @@ from contactforge import linalg
 from contactforge.slcontact import _cayley, _mix_seed, h_matrix_basis, sample_group_point
 
 
+def reference_rref(a):
+    """Gauss-Jordan over Fractions, sharing no code with linalg's integer elimination."""
+    m = [[Fraction(x) for x in row] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
 def rand_matrix(rng, rows, cols, lo=-4, hi=4):
     return [[Fraction(rng.randint(lo, hi), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)]
 
@@ -83,7 +108,7 @@ def test_det_adj_matches_leibniz_and_rref_inverse():
                 m[-1] = list(m[0])
             det, adj = linalg.det_adj(m)
             assert det == leibniz_det(m) == linalg.det(m)
-            red, pivots = linalg.rref([row + linalg.identity(n)[i] for i, row in enumerate(m)])
+            red, pivots = reference_rref([row + linalg.identity(n)[i] for i, row in enumerate(m)])
             if det == 0:
                 singular += 1
                 assert adj is None and linalg.inverse(m) is None
@@ -111,7 +136,7 @@ def test_bareiss_rank_matches_rref_rank():
             k = rng.randrange(rows)
             scale = Fraction(rng.randint(-2, 2))
             m[k] = [scale * x for x in m[0]]
-        assert linalg.rank(m) == len(linalg.rref(m)[1])
+        assert linalg.rank(m) == len(reference_rref(m)[1])
 
 
 def test_in_row_space():
@@ -191,7 +216,7 @@ def test_rank_with_mixed_denominators_and_zero_rows():
             elif roll < 0.5 and k >= 2:  # a rational combination of two earlier rows
                 u, v = Fraction(rng.randint(-3, 3), rng.randint(1, 5)), rng.randint(-2, 2)
                 m[k] = [u * x + v * y for x, y in zip(m[0], m[1])]
-        assert linalg.rank(m) == len(linalg.rref(m)[1])
+        assert linalg.rank(m) == len(reference_rref(m)[1])
     assert linalg.rank([[0, 0], [Fraction(0), 0]]) == 0
 
 
@@ -212,3 +237,63 @@ def test_residual_after_one_rref_agrees_with_solving_the_transpose():
             member = linalg.solve(linalg.transpose(m), v) is not None
             assert (not any(linalg.residual(red, pivots, v))) == member
             assert linalg.in_row_space(m, v) == member
+
+
+def _reference_nullspace(a, cols):
+    red, pivots = reference_rref(a)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def test_elimination_entry_points_match_the_reference_rref():
+    rng = random.Random(29)
+    shapes = {"deficient": 0, "zero_line": 0, "thin": 0, "empty": 0, "singular": 0}
+    for trial in range(600):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        kind = trial % 6
+        if kind == 1:  # 1 x n
+            rows = 1
+        elif kind == 2:  # n x 1
+            cols = 1
+        elif kind == 3:  # square, for det_adj and inverse
+            cols = rows
+        elif kind == 4:  # no rows, or rows of length zero
+            rows, cols = rng.choice(((0, 0), (rng.randint(1, 3), 0)))
+        m = _mixed_matrix(rng, rows, cols)
+        if rows >= 3 and rng.random() < 0.5:  # a rational combination of two rows
+            u, v = Fraction(rng.randint(-3, 3), rng.randint(1, 5)), rng.randint(-2, 2)
+            m[rng.randrange(2, rows)] = [u * x + v * y for x, y in zip(m[0], m[1])]
+            shapes["deficient"] += 1
+        if rows and cols and rng.random() < 0.3:  # an all-zero row or column
+            if rng.random() < 0.5:
+                m[rng.randrange(rows)] = [0] * cols
+            else:
+                j = rng.randrange(cols)
+                for row in m:
+                    row[j] = Fraction(0)
+            shapes["zero_line"] += 1
+        shapes["thin"] += rows == 1 or cols == 1
+        shapes["empty"] += rows == 0 or cols == 0
+        red, pivots = reference_rref(m)
+        assert linalg.rref(m) == (red, pivots)
+        assert linalg.rank(m) == len(pivots)
+        assert linalg.nullspace(m) == _reference_nullspace(m, cols)
+        if rows == cols and rows <= 5:
+            det, adj = linalg.det_adj(m)
+            assert det == leibniz_det(m)
+            aug, aug_pivots = reference_rref(
+                [list(row) + linalg.identity(rows)[i] for i, row in enumerate(m)])
+            if aug_pivots[:rows] != list(range(rows)):
+                shapes["singular"] += 1
+                assert det == 0 and adj is None and linalg.inverse(m) is None
+                continue
+            inv = [row[rows:] for row in aug]
+            assert linalg.inverse(m) == inv
+            assert adj == [[det * x for x in row] for row in inv]
+    assert min(shapes.values()) >= 20, shapes

@@ -14,13 +14,12 @@ from contactforge.orthogroup import (
     so_constraint_system,
     theta_coefficient_via_minors,
 )
-from contactforge.polyring import Poly
+from contactforge.polyring import Poly, row_major_vars
 from contactforge.report import REPORTED_ONLY
 from contactforge.slcontact import (
     identity_point,
     matrix_point,
     sample_group_point,
-    volume_generators,
 )
 from contactforge.exterior import wedge
 
@@ -78,7 +77,7 @@ def test_row_symmetry_in_the_two_columns():
 def test_theta_coefficients_equal_jacobian_minors():
     """Two computation paths, one answer, for every maximal column subset."""
     system = so_constraint_system(3)
-    columns = volume_generators(3)
+    columns = row_major_vars(3)
     for subset in combinations(columns, 6):
         wedge_coeff = system.theta.coefficient(subset)
         minor_coeff = theta_coefficient_via_minors(system, subset)

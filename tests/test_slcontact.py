@@ -10,7 +10,7 @@ import pytest
 from contactforge import linalg
 from contactforge.errors import ParameterError
 from contactforge.exterior import Form, ext_d, interior_product, wedge
-from contactforge.polyring import Poly, reduce_mod_principal
+from contactforge.polyring import Poly, reduce_mod_principal, row_major_vars
 from contactforge.report import CONFIRMED, REPORTED_ONLY
 from contactforge.slcontact import (
     build_frame,
@@ -31,7 +31,6 @@ from contactforge.slcontact import (
     structural_checks,
     u_decomposition,
     verify_contact_identity,
-    volume_generators,
 )
 
 F = Fraction
@@ -81,7 +80,7 @@ def test_contact_identity_p1(frame_p1):
     assert not result.dw_reading_matches
     assert result.dw_top_scalar == 8
     assert result.is_contact
-    vol = volume_generators(2)
+    vol = row_major_vars(2)
     assert result.top_coefficient == frame_p1.delta * -4
     assert result.report.ok
 
