@@ -239,7 +239,7 @@ def test_residual_after_one_rref_agrees_with_solving_the_transpose():
             assert linalg.in_row_space(m, v) == member
 
 
-def _reference_nullspace(a, cols):
+def reference_nullspace(a, cols):
     red, pivots = reference_rref(a)
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):
@@ -283,7 +283,7 @@ def test_elimination_entry_points_match_the_reference_rref():
         red, pivots = reference_rref(m)
         assert linalg.rref(m) == (red, pivots)
         assert linalg.rank(m) == len(pivots)
-        assert linalg.nullspace(m) == _reference_nullspace(m, cols)
+        assert linalg.nullspace(m) == reference_nullspace(m, cols)
         if rows == cols and rows <= 5:
             det, adj = linalg.det_adj(m)
             assert det == leibniz_det(m)
