@@ -86,7 +86,7 @@ def _scalars(f: dict[int, Poly]) -> dict | None:
     for mask, coeff in f.items():
         if not coeff.is_constant:
             return None
-        out[mask] = coeff._terms.get(0, 0)  # the packed constant monomial is 0
+        out[mask] = coeff.constant_term()
     return out
 
 
@@ -389,9 +389,9 @@ def interior_product(x: VField, f: Form) -> Form:
     return Form._trusted(f.size, f.degree - 1, out)
 
 
-def lie_derivative(x: VField, f: Form) -> Form:
-    """Cartan formula L_X = i(X) d + d i(X)."""
-    term1 = interior_product(x, ext_d(f))
+def lie_derivative(x: VField, f: Form, df: Form | None = None) -> Form:
+    """Cartan formula L_X = i(X) d + d i(X); pass df = d f to reuse it across fields."""
+    term1 = interior_product(x, ext_d(f) if df is None else df)
     if f.degree == 0:
         return term1
     return term1 + ext_d(interior_product(x, f))

@@ -14,7 +14,6 @@ random covectors and score them against the classical bounds.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -73,25 +72,33 @@ class LieAlg:
 def _validate_jacobi(g: LieAlg) -> None:
     """Check the Jacobi identity on every triple e_i, e_j, e_k with i < j < k.
 
-    Integral structure constants are checked over the ints, so only tables
-    with fractional constants (from `file:` algebras) run on Fractions.
+    A term [e_a,[e_b,e_c]] of the cyclic sum is zero unless (b, c) is a
+    bracket key, so only the triples holding a key pair are summed, each
+    from the first of its pairs (i,j), (i,k), (j,k) that is a key. Integral
+    structure constants are checked over the ints, so only tables with
+    fractional constants (from `file:` algebras) run on Fractions.
     """
-    table: dict[tuple[int, int], list[tuple[int, int | Fraction]]] = {}
+    # each bracket's items are stored once; the reversed pair reads them with sign -1
+    table: dict[tuple[int, int], tuple[int, list]] = {}
     for (i, j), comp in g.brackets.items():
         items = [(k, v.numerator if v.denominator == 1 else v) for k, v in comp.items()]
-        table[(i, j)] = items
-        table[(j, i)] = [(k, -v) for k, v in items]
+        table[i, j], table[j, i] = (1, items), (-1, items)
 
-    for i, j, k in itertools.combinations(range(1, g.dim + 1), 3):
-        # the cyclic sum of [e_a, [e_b, e_c]], through the sparse tables only
-        acc: dict[int, int | Fraction] = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, coeff in table.get((b, c), ()):
-                for t, inner in table.get((a, m), ()):
-                    acc[t] = acc.get(t, 0) + coeff * inner
-        bad = {t: v for t, v in acc.items() if v}
-        if bad:
-            raise InvalidAlgebraError(f"Jacobi identity fails on (e_{i}, e_{j}, e_{k}): {bad}")
+    for b, c in g.brackets:
+        triples = [(b, c, a) for a in range(c + 1, g.dim + 1)]
+        triples += [(b, a, c) for a in range(b + 1, c) if (b, a) not in table]
+        triples += [(a, b, c) for a in range(1, b) if (a, b) not in table and (a, c) not in table]
+        for i, j, k in triples:
+            acc: dict[int, int | Fraction] = {}
+            for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                s1, outer = table.get((y, z), (1, ()))
+                for m, coeff in outer:
+                    s2, inner = table.get((x, m), (1, ()))
+                    for t, v in inner:
+                        acc[t] = acc.get(t, 0) + s1 * s2 * coeff * v
+            if any(acc.values()):
+                bad = {t: v for t, v in sorted(acc.items()) if v}
+                raise InvalidAlgebraError(f"Jacobi identity fails on (e_{i}, e_{j}, e_{k}): {bad}")
 
 
 # -- builders -----------------------------------------------------------------

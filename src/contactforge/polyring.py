@@ -2,8 +2,8 @@
 
 Variables are the entries a[r,c] of an ambient n x n coordinate matrix,
 identified by 1-based (row, col) pairs. Polynomials are immutable after
-construction and two polynomials are equal iff their term maps coincide, so
-all comparisons in the symbolic layer are exact.
+construction and two polynomials are equal iff their denominators and term
+maps coincide, so all comparisons in the symbolic layer are exact.
 
 Monomials are packed into one int (after Monagan & Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
@@ -18,9 +18,10 @@ a[1,2], ..., a[n,n] in row-major order. The layout is built on first use.
     degree are at most MAX_DEGREE = 127. A product that could pass the
     bound raises TermLimitError before any field overflows. With G the mask
     of guard bits, lt divides m iff ((m | G) - lt) & G == G.
-A coefficient is an int when it is integral and a fractions.Fraction
-otherwise; str() renders both alike, so reports do not depend on the
-representation. constant_value() and evaluate() always return Fraction.
+Coefficients are ints over one denominator den > 0 coprime to them all
+(after FLINT's fmpq_mpoly; den = 1 when integral), so equal polynomials have
+equal (den, terms). The views give an int for an integral coefficient and a
+Fraction otherwise; constant_value() and evaluate() always return Fraction.
 
 The tuple form of a monomial, a row-major sorted tuple of (row, col,
 exponent) triples with positive exponents, is what the constructor accepts
@@ -101,30 +102,26 @@ def row_major_vars(size: int) -> tuple[Var, ...]:
     return _layout(size).vars
 
 
-def _coeff(value) -> int | Fraction:
-    if type(value) is int:
-        return value
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
+def _ratio(num: int, den: int) -> int | Fraction:
+    """num / den as an int when integral, else as a Fraction."""
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
-def _normalize(terms: dict) -> bool:
-    """Turn integral Fraction coefficients into ints in place; True if a Fraction is left."""
-    frac = False
-    for m, c in terms.items():
-        if type(c) is not int:
-            if c.denominator == 1:
-                terms[m] = c.numerator
-            else:
-                frac = True
-    return frac
+def _scaled(terms: dict, k: int) -> dict:
+    return terms if k == 1 else {m: c * k for m, c in terms.items()}
 
 
-def _poly(size: int, terms: dict, frac: bool) -> "Poly":
+def _poly(size: int, terms: dict, den: int = 1) -> "Poly":
+    """{packed monomial: nonzero int} over den > 0, with the common factor cancelled."""
+    if den != 1:
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {m: c // g for m, c in terms.items()}
     p = object.__new__(Poly)
     p.size = size
     p._terms = terms
-    p._frac = frac
+    p._den = den
     return p
 
 
@@ -174,7 +171,7 @@ class TermView(Mapping):
 class Poly:
     """Polynomial in the entries of an n x n coordinate matrix."""
 
-    __slots__ = ("size", "_terms", "_frac")
+    __slots__ = ("size", "_terms", "_den")
 
     def __init__(self, size: int, terms: Mapping[Monomial, Fraction] | None = None):
         if size < 1:
@@ -184,16 +181,13 @@ class Poly:
         if terms:
             lay = _layout(size)
             for mono, coeff in terms.items():
-                coeff = _coeff(coeff)
                 if coeff:
                     key = lay.encode(mono)
-                    acc = clean.get(key, 0) + coeff
-                    if acc:
-                        clean[key] = acc
-                    else:
-                        del clean[key]
-        self._terms = clean
-        self._frac = _normalize(clean)
+                    coeff = coeff if type(coeff) is int else Fraction(coeff)
+                    clean[key] = clean.get(key, 0) + coeff
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self._terms = {m: c.numerator * (den // c.denominator) for m, c in clean.items() if c}
+        self._den = den
 
     # -- constructors ------------------------------------------------------
 
@@ -205,8 +199,8 @@ class Poly:
     def const(cls, size: int, value) -> "Poly":
         if size < 1:
             raise DimensionError(f"ambient matrix size must be >= 1, got {size}")
-        value = _coeff(value)
-        return _poly(size, {0: value} if value else {}, type(value) is not int)
+        value = value if type(value) is int else Fraction(value)
+        return _poly(size, {0: value.numerator} if value else {}, value.denominator)
 
     @classmethod
     def variable(cls, size: int, row: int, col: int) -> "Poly":
@@ -220,7 +214,11 @@ class Poly:
     def terms(self) -> TermView:
         """The terms as a read-only {tuple monomial: coefficient} mapping."""
         lay = _layout(self.size)
-        return TermView(self._terms, lay.decode, lay.encode)
+        return TermView(self._coeffs(), lay.decode, lay.encode)
+
+    def _coeffs(self) -> dict:
+        den = self._den
+        return self._terms if den == 1 else {m: _ratio(c, den) for m, c in self._terms.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -231,11 +229,13 @@ class Poly:
         return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     def constant_value(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
         if not self.is_constant:
             raise ValueError(f"not a constant polynomial: {self}")
-        return Fraction(self._terms[0])
+        return Fraction(self.constant_term())
+
+    def constant_term(self) -> int | Fraction:
+        """The coefficient of the monomial 1, 0 when there is none."""
+        return _ratio(self._terms.get(0, 0), self._den)
 
     def variables(self) -> set[Var]:
         return _layout(self.size).variables(reduce(or_, self._terms, 0))
@@ -243,14 +243,14 @@ class Poly:
     def sorted_terms(self) -> list[tuple[Monomial, int | Fraction]]:
         """Terms in canonical (descending graded row-major lex) order."""
         decode = _layout(self.size).decode
-        terms = self._terms
+        terms = self._coeffs()
         return [(decode(m), terms[m]) for m in sorted(terms, reverse=True)]
 
     def leading_term(self) -> tuple[Monomial, int | Fraction]:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
         mono = max(self._terms)
-        return _layout(self.size).decode(mono), self._terms[mono]
+        return _layout(self.size).decode(mono), _ratio(self._terms[mono], self._den)
 
     # -- ring operations -----------------------------------------------------
 
@@ -263,7 +263,7 @@ class Poly:
             other = Poly.const(self.size, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.size == other.size and self._terms == other._terms
+        return self.size == other.size and self._den == other._den and self._terms == other._terms
 
     __hash__ = None
 
@@ -271,7 +271,10 @@ class Poly:
         if not isinstance(other, Poly) and isinstance(other, Scalar):
             other = Poly.const(self.size, other)
         self._check_size(other)
-        small, big = self._terms, other._terms
+        small, big, den = self._terms, other._terms, self._den
+        if den != other._den:
+            den = math.lcm(den, other._den)
+            small, big = _scaled(small, den // self._den), _scaled(big, den // other._den)
         if len(small) > len(big):
             small, big = big, small
         out = dict(big)
@@ -282,17 +285,14 @@ class Poly:
                 out[m] = acc
             else:
                 del out[m]
-        frac = (self._frac or other._frac) and _normalize(out)
-        return _poly(self.size, out, frac)
+        return _poly(self.size, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return _poly(self.size, {m: -c for m, c in self._terms.items()}, self._frac)
+        return _poly(self.size, {m: -c for m, c in self._terms.items()}, self._den)
 
     def __sub__(self, other) -> "Poly":
-        if not isinstance(other, Poly) and isinstance(other, Scalar):
-            other = Poly.const(self.size, other)
         return self + (-other)
 
     def __rsub__(self, other) -> "Poly":
@@ -300,12 +300,7 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly) and isinstance(other, Scalar):
-            value = _coeff(other)
-            if not value:
-                return Poly.zero(self.size)
-            out = {m: c * value for m, c in self._terms.items()}
-            frac = (self._frac or type(value) is not int) and _normalize(out)
-            return _poly(self.size, out, frac)
+            other = Poly.const(self.size, other)
         self._check_size(other)
         # the shorter factor drives the outer loop; the budget is checked
         # after every row, so a product holds at most the budget plus the
@@ -320,7 +315,7 @@ class Poly:
         if degree > MAX_DEGREE:
             raise TermLimitError(f"polynomial product of degree {degree} exceeds {MAX_DEGREE}")
         limit = config.get_max_terms()
-        out: dict[int, int | Fraction] = {}
+        out: dict[int, int] = {}
         get = out.get
         row = list(big.items())
         for m1, c1 in small.items():
@@ -333,8 +328,7 @@ class Poly:
                     del out[key]
             if len(out) > limit:
                 raise TermLimitError(f"polynomial product reached {len(out)} terms (budget {limit})")
-        frac = (self._frac or other._frac) and _normalize(out)
-        return _poly(self.size, out, frac)
+        return _poly(self.size, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -367,8 +361,7 @@ class Poly:
             e = (m >> shift) & 0xFF
             if e:
                 out[m - unit] = c * e
-        frac = self._frac and _normalize(out)
-        return _poly(self.size, out, frac)
+        return _poly(self.size, out, self._den)
 
     def evaluate(self, assignment: dict[Var, Fraction]) -> Fraction:
         """Exact value at a rational point; every occurring variable must be assigned."""
@@ -382,7 +375,7 @@ class Poly:
         # the terms of each degree k over the integers; divide by denom^k once
         denom = math.lcm(*(x.denominator for x in values))
         scaled = {i: x.numerator * (denom // x.denominator) for i, x in zip(used, values)}
-        by_degree: dict[int, int | Fraction] = {}
+        by_degree: dict[int, int] = {}
         for m, coeff in self._terms.items():
             exps = lay.exponents(m)
             for i in used:
@@ -390,7 +383,8 @@ class Poly:
                 if e:
                     coeff *= scaled[i] ** e
             by_degree[exps[0]] = by_degree.get(exps[0], 0) + coeff
-        return sum((Fraction(s) / denom ** k for k, s in by_degree.items()), Fraction(0))
+        den = self._den
+        return sum((Fraction(s, denom ** k * den) for k, s in by_degree.items()), Fraction(0))
 
     # -- display -------------------------------------------------------------
 
@@ -461,7 +455,7 @@ def determinant(mat: list[list[Poly]]) -> Poly:
     if any(entry.size != size for row in mat for entry in row):
         raise DimensionError("matrix entries live over different ambient sizes")
     if all(entry.is_constant for row in mat for entry in row):
-        value = linalg.det([[e._terms.get(0, 0) for e in row] for row in mat])
+        value = linalg.det([[e.constant_term() for e in row] for row in mat])
         return Poly.const(size, value)
     idx = tuple(range(n))
     return _cofactor_det(mat, idx, idx, {})
@@ -492,6 +486,8 @@ def divmod_principal(p: Poly, f: Poly) -> tuple[Poly, Poly]:
     terms sit in a heap of packed monomials; every term subtracted is below
     the one being divided, so a monomial is never divided twice, and heap
     entries whose term cancelled are skipped when popped.
+    Where f's leading coefficient does not divide a term of the int numerators,
+    every working term is scaled until it does (never for det or det - 1).
     """
     if f.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -501,9 +497,10 @@ def divmod_principal(p: Poly, f: Poly) -> tuple[Poly, Poly]:
     lt = max(f._terms)
     lc = f._terms[lt]
     tail = [(m, c) for m, c in f._terms.items() if m != lt]
-    quotient: dict[int, int | Fraction] = {}
-    remainder: dict[int, int | Fraction] = {}
+    quotient: dict[int, int] = {}
+    remainder: dict[int, int] = {}
     work = dict(p._terms)
+    scale = 1
     heap = [-m for m in work]
     heapify(heap)
     while heap:
@@ -515,11 +512,13 @@ def divmod_principal(p: Poly, f: Poly) -> tuple[Poly, Poly]:
             remainder[mono] = coeff
             continue
         qm = mono - lt
-        if type(coeff) is int and type(lc) is int:
-            qc = coeff // lc if coeff % lc == 0 else Fraction(coeff, lc)
-        else:
-            qc = coeff / lc
-        quotient[qm] = qc
+        if coeff % lc:
+            k = abs(lc) // math.gcd(coeff, lc)
+            scale, coeff = scale * k, coeff * k
+            for terms in (work, quotient, remainder):
+                for m in terms:
+                    terms[m] *= k
+        qc = quotient[qm] = coeff // lc
         for fm, fc in tail:
             key = qm + fm
             acc = work.get(key)
@@ -532,8 +531,9 @@ def divmod_principal(p: Poly, f: Poly) -> tuple[Poly, Poly]:
                     work[key] = acc
                 else:
                     del work[key]
-    return (_poly(p.size, quotient, _normalize(quotient)),
-            _poly(p.size, remainder, _normalize(remainder)))
+    # scale * num(p) = quotient * num(f) + remainder, so p = q * f + r with these q, r
+    den = p._den * scale
+    return _poly(p.size, _scaled(quotient, f._den), den), _poly(p.size, remainder, den)
 
 
 def reduce_mod_principal(p: Poly, f: Poly) -> Poly:

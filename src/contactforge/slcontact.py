@@ -389,10 +389,11 @@ def structural_checks(p: int, frame: SLFrame | None = None) -> VerifyReport:
         "claimed",
     )
 
+    d_alpha = {ai: ext_d(frame.alpha[ai]) for ai in indices}  # once, not once per Y
     lie_failures = []
     for yi in indices:
         for ai in indices:
-            lform = lie_derivative(frame.Y[yi], frame.alpha[ai])
+            lform = lie_derivative(frame.Y[yi], frame.alpha[ai], d_alpha[ai])
             if any(not reduce_mod_principal(c, shift).is_zero for c in lform.terms.values()):
                 lie_failures.append((yi, ai))
     rep.check(

@@ -5,6 +5,7 @@ import pathlib
 import random
 import runpy
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -296,3 +297,30 @@ def test_a_broken_jacobi_table_raises(tmp_path, delta):
     with pytest.raises(InvalidAlgebraError, match="Jacobi identity fails"):
         build_algebra(sl3_table(tmp_path, delta))
     assert build_algebra(sl3_table(tmp_path, 0)).brackets == sl_algebra(3).brackets
+
+
+def test_a_large_file_algebra_with_one_bracket_loads_quickly(tmp_path):
+    # the Jacobi check visits only triples a bracket key reaches, not all
+    # C(3000, 3) of them
+    path = tmp_path / "big.alg"
+    path.write_text("dim 3000\n1 2 3 1\n")
+    start = time.perf_counter()
+    g = algebra_from_file(str(path))
+    assert time.perf_counter() - start < 1.0
+    assert g.dim == 3000 and g.brackets == {(1, 2): {3: F(1)}}
+    assert g.bracket_basis(2, 1) == {3: F(-1)}
+    # a broken triple far from e_1 is still found
+    path.write_text("dim 3000\n1 2 3 1\n2998 2999 3000 1\n2998 3000 2998 1\n2999 3000 2999 1\n")
+    with pytest.raises(InvalidAlgebraError, match=r"\(e_2998, e_2999, e_3000\)"):
+        algebra_from_file(str(path))
+
+
+@pytest.mark.parametrize("text", [
+    "dim 4\n2 3 4 1\n1 4 1 1\n",  # (2,3) is the only key pair of (e_1, e_2, e_3)
+    "dim 4\n1 3 4 1\n2 4 2 1\n",  # (1,3) is its first key pair
+], ids=["last-pair", "middle-pair"])
+def test_a_triple_reached_through_a_later_key_pair_is_checked(tmp_path, text):
+    path = tmp_path / "broken.alg"
+    path.write_text(text)
+    with pytest.raises(InvalidAlgebraError, match=r"\(e_1, e_2, e_3\)"):
+        algebra_from_file(str(path))

@@ -281,26 +281,61 @@ def random_terms(rng, size, count, max_vars=3, max_exp=3):
     return {m: c for m, c in terms.items() if c}
 
 
+def ref_scale(p, factor):
+    return {m: c * factor for m, c in p.items()}
+
+
+def ref_evaluate(p, point):
+    total = Fraction(0)
+    for m, c in p.items():
+        for r, col, e in m:
+            c *= point[(r, col)] ** e
+        total += c
+    return total
+
+
+def assert_int_exactly_when_integral(p: Poly):
+    """Every view gives an int for an integral coefficient and a Fraction otherwise."""
+    views = [*p.terms.values(), *(c for _, c in p.sorted_terms()), p.constant_term()]
+    if not p.is_zero:
+        views.append(p.leading_term()[1])
+    for c in views:
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+
+
 @pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
 def test_kernel_matches_tuple_reference(size):
     rng = random.Random(100 + size)
-    for _ in range(12):
+    for trial in range(24):
         pt, qt = random_terms(rng, size, rng.randint(0, 8)), random_terms(rng, size, rng.randint(1, 8))
+        if trial % 2:  # operands scaled by one common Fraction: integral sums over shared dens
+            common = Fraction(rng.choice((1, 5, 7, 12)), rng.choice((2, 6, 9, 10)))
+            pt, qt = ref_scale(pt, common), ref_scale(qt, common)
         p, q = Poly(size, pt), Poly(size, qt)
         assert p.terms == pt and q.terms == qt
-        assert (p + q).terms == ref_add(pt, qt)
-        assert (p - q).terms == ref_add(pt, {m: -c for m, c in qt.items()})
-        assert (p * q).terms == ref_mul(pt, qt)
+        results = [p + q, p - q, p * q]
+        assert results[0].terms == ref_add(pt, qt)
+        assert results[1].terms == ref_add(pt, {m: -c for m, c in qt.items()})
+        assert results[2].terms == ref_mul(pt, qt)
         for var in {(r, c) for m in pt for r, c, _ in m} | {(1, size)}:
-            assert p.diff(var).terms == ref_diff(pt, var)
+            results.append(p.diff(var))
+            assert results[-1].terms == ref_diff(pt, var)
         ft = random_terms(rng, size, rng.randint(1, 4), max_vars=2, max_exp=2)
-        if not ft:
-            continue
-        f = Poly(size, ft)
-        for dividend in (pt, ref_add(ref_mul(pt, ft), qt)):
-            quotient, remainder = divmod_principal(Poly(size, dividend), f)
-            ref_q, ref_r = ref_divmod(dividend, ft)
-            assert quotient.terms == ref_q and remainder.terms == ref_r
+        if ft:
+            # a divisor whose numerators share a factor its denominator does not cancel
+            ft = ref_scale(ft, Fraction(rng.choice((2, 3, 4)), rng.choice((1, 3, 7))))
+            f = Poly(size, ft)
+            for dividend in (pt, ref_add(ref_mul(pt, ft), qt)):
+                quotient, remainder = divmod_principal(Poly(size, dividend), f)
+                ref_q, ref_r = ref_divmod(dividend, ft)
+                assert quotient.terms == ref_q and remainder.terms == ref_r
+                assert quotient * f + remainder == Poly(size, dividend)
+                results += [quotient, remainder]
+        point = {(r, c): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 for r in range(1, size + 1) for c in range(1, size + 1)}
+        assert p.evaluate(point) == ref_evaluate(pt, point)
+        for r in (p, q, *results):
+            assert_int_exactly_when_integral(r)
 
 
 @pytest.mark.parametrize("size", [2, 3, 6])
@@ -323,6 +358,25 @@ def test_integral_coefficients_are_ints():
     assert all(type(c) is int for c in doubled.terms.values())
     assert all(type(c) is Fraction for c in half.terms.values())
     assert all(type(c) is int for c in (half + half).terms.values())
+    # denominators that cancel leave the integral representation
+    x, y = a(1, 1), a(2, 2)
+    assert x * Fraction(1, 2) + x * Fraction(1, 2) == x
+    assert (x * Fraction(1, 6)) * 6 == x == 6 * (Fraction(1, 6) * x)
+    assert (x * x * Fraction(1, 2)).diff((1, 1)) == x
+    assert x * Fraction(1, 6) + x * Fraction(1, 3) == x * Fraction(1, 2)
+    # one polynomial reached by different routes compares equal
+    routes = [
+        Poly(2, {((1, 1, 1),): Fraction(1, 2), ((2, 2, 1),): Fraction(3, 2)}),
+        (x + 3 * y) * Fraction(1, 2),
+        x * Fraction(5, 10) + y * Fraction(9, 6),
+        (x * 2 + y * 6) * Fraction(1, 4),
+        (x * x * Fraction(1, 4)).diff((1, 1)) + y * Fraction(3, 2),
+        exact_divide((x + 3 * y) * (x - y), (x - y) * 2),
+        divmod_principal(x * x + 3 * x * y, x * Fraction(4, 3))[0] * Fraction(2, 3),
+    ]
+    assert all(r == half and r.terms == half.terms for r in routes)
+    for r in routes + [doubled, (x + y) * Fraction(1, 2) * 2, x * Fraction(2, 3) * Fraction(3, 2)]:
+        assert_int_exactly_when_integral(r)
 
 
 def test_constant_value_and_evaluate_return_fractions():

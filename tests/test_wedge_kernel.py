@@ -201,6 +201,29 @@ def test_poly_wedge_matches_the_tuple_merge_reference(monkeypatch):
             assert taken[True] >= 300 and not taken[False]
 
 
+def test_wedge_commutes_with_fraction_scalars():
+    # wedge(c F, G) = c wedge(F, G) = wedge(F, c G) on both wedge paths, with
+    # products over a denominator and sums that bring two to a common one
+    rng = random.Random(77)
+
+    def fraction_pool(size):
+        return [*poly_pool(size), rand_poly(rng, size) * Fraction(1, rng.randint(2, 9)),
+                rand_poly(rng, size, 3, 3) * Fraction(rng.randint(1, 5), 6)]
+
+    nonzero = 0
+    for pool in (poly_pool, constant_pool, fraction_pool):
+        for _ in range(150):
+            size = rng.randint(2, 4)
+            f = cancelling_form(rng, size, rng.randint(0, 3), pool)
+            g = cancelling_form(rng, size, rng.randint(0, 3), pool)
+            c = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((2, 3, 4, 7)))
+            expected = wedge(f, g) * c
+            assert wedge(f * c, g) == expected == wedge(f, g * c)
+            assert wedge(f * c, g * (1 / c)) == wedge(f, g)
+            nonzero += not expected.is_zero
+    assert nonzero >= 200
+
+
 def random_field(rng: random.Random, size: int) -> VField:
     gens = [(r, c) for r in range(1, size + 1) for c in range(1, size + 1)]
     one = Poly.const(size, 1)
