@@ -16,11 +16,14 @@ Fontijne and Mann, Geometric Algebra for Computer Science, ch. 19): da[r,c] is
 bit (r-1)*n + (c-1), so a mask's bits in increasing order are the row-major
 generator tuple. Tuples appear only where the public constructor encodes them,
 with its checks, and in the read-only `Form.terms` view. d and contraction set
-or clear bit b with the sign of the parity of the mask's bits below b. Poly
-forms and the float forms in `numeric` share one wedge kernel over {mask:
-coeff} dicts: disjoint masks meet in their union, signed by the parity of the
-pairs (i in m1, j in m2) with i > j, one int.bit_count per pair (see
-`_above_parity`).
+or clear bit b with the sign of the parity of the mask's bits below b. One
+mask and sign rule serves Poly forms and the float forms in `numeric`:
+disjoint masks meet in their union, signed by the parity of the pairs
+(i in m1, j in m2) with i > j, one int.bit_count per pair (see
+`_above_parity`). `_wedge_masks` applies it to {mask: coeff} dicts in one
+fused loop; `_wedge_plan` compiles it once per pair of mask layouts into
+slots and signs, which `numeric` replays at every point of a scan with the
+same float operations in the same order.
 
 When every coefficient of both factors is a constant Poly, as in the powers
 (d omega)^k of the contact identity and in pointwise classes, `wedge` runs
@@ -78,6 +81,22 @@ def _wedge_masks(f: dict, g: dict, limit: float = math.inf) -> dict:
         if len(out) > limit:
             raise TermLimitError(f"wedge expansion reached {len(out)} terms (budget {limit})")
     return out
+
+
+def _wedge_plan(fkeys, gkeys) -> tuple[list, list]:
+    """The layout of `_wedge_masks` for forms with these masks, for reuse.
+
+    Returns the result masks in order of first appearance and, for each mask
+    of f, the (index in g, result slot, negate) of the masks of g it meets,
+    in the order `_wedge_masks` visits the pairs.
+    """
+    slots: dict = {}
+    rows = []
+    for m1 in fkeys:
+        above = _above_parity(m1)
+        rows.append([(j, slots.setdefault(m1 | m2, len(slots)), (above & m2).bit_count() & 1)
+                     for j, m2 in enumerate(gkeys) if not m1 & m2])
+    return list(slots), rows
 
 
 def _scalars(f: dict[int, Poly]) -> dict | None:

@@ -6,8 +6,11 @@ together with analytically supplied partial derivatives; nothing here is ever
 differentiated numerically (finite differences appear only as a self-test in
 the suite). Class computations expand wedge powers combinatorially over the
 chart basis, which matches the wedge-power definition of the class directly
-and keeps the module dependency-free. The expansion is the exact layer's own
-wedge kernel: d theta_{i+1} is bit i of a {mask: float} dict.
+and keeps the module dependency-free. Forms are {mask: float} dicts, with
+d theta_{i+1} as bit i, under the exact layer's mask and sign rule: each
+pair of mask layouts is compiled once by `exterior._wedge_plan`, kept on the
+FormFn, and replayed at every point with the multiplies, negations and
+left-to-right sums of `exterior._wedge_masks`, so results are bit-equal.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import ParameterError
-from .exterior import _wedge_masks
+from .exterior import _wedge_plan
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,13 +30,15 @@ class FormFn:
     """1-form on a dim-dimensional chart: coefficients and their partials.
 
     coeff[i](point) is the coefficient of d theta_{i+1}; partial[i][j](point)
-    is its derivative along theta_{j+1}, supplied analytically.
+    is its derivative along theta_{j+1}, supplied analytically. `plans` holds
+    the wedge plans of the mask layouts its points have met.
     """
 
     dim: int
     name: str
     coeff: tuple
     partial: tuple
+    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def t3_form(n1: int = 1) -> FormFn:
@@ -95,7 +100,26 @@ BUILTIN_FORMS = {"t3": t3_form, "t5-lutz": t5_lutz_form}
 
 
 def _norm(f: dict) -> float:
-    return max((abs(v) for v in f.values()), default=0.0)
+    return max(map(abs, f.values()), default=0.0)
+
+
+def _wedge(plans: dict, f: dict, g: dict) -> dict:
+    """f ^ g by the plan of their mask layouts, built on first use."""
+    key = (tuple(f), tuple(g))
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = _wedge_plan(*key)
+    masks, rows = plan
+    gv = list(g.values())
+    acc = [None] * len(masks)
+    for c1, row in zip(f.values(), rows):
+        for j, slot, negate in row:
+            prod = c1 * gv[j]
+            if negate:
+                prod = -prod
+            a = acc[slot]
+            acc[slot] = prod if a is None else a + prod
+    return dict(zip(masks, acc))
 
 
 def _alpha_dalpha(f: FormFn, point):
@@ -132,6 +156,8 @@ def pointwise_class(f: FormFn, point, tol: float = 1e-9) -> PointClassReport:
     point = tuple(float(x) for x in point)
     if len(point) != f.dim:
         raise ParameterError(f"point has length {len(point)}, chart dimension is {f.dim}")
+    if not all(map(math.isfinite, point)):
+        raise ParameterError(f"point has a non-finite coordinate: {point}")
     alpha, dalpha = _alpha_dalpha(f, point)
     best_p = 0
     power = dalpha
@@ -139,13 +165,13 @@ def pointwise_class(f: FormFn, point, tol: float = 1e-9) -> PointClassReport:
         best_p += 1
         if 2 * (best_p + 1) > f.dim:
             break  # (d a)^(p+1) vanishes above the chart dimension
-        power = _wedge_masks(power, dalpha)
+        power = _wedge(f.plans, power, dalpha)
     if best_p == 0:
         mag = _norm(alpha)
         return PointClassReport(point, 1 if mag > tol else 0, mag, tol)
     top = alpha
     for _ in range(best_p):
-        top = _wedge_masks(top, dalpha)
+        top = _wedge(f.plans, top, dalpha)
     mag = _norm(top)
     cls = 2 * best_p + 1 if mag > tol else 2 * best_p
     return PointClassReport(point, cls, mag, tol)
@@ -244,6 +270,8 @@ def singular_scan(f: FormFn, directions, points, tol: float = 1e-9, seed: int = 
     if not 0 < tol < math.inf:
         raise ParameterError(f"tolerance must be finite and positive, got {tol}")
     dirs = tuple(directions)
+    if not dirs:
+        raise ParameterError("singular scan needs at least one invariance direction")
     if any(not 1 <= d <= f.dim for d in dirs):
         raise ParameterError("invariance directions must be chart axes")
     rng = random.Random(seed)

@@ -268,7 +268,9 @@ class Poly:
     __hash__ = None
 
     def __add__(self, other) -> "Poly":
-        if not isinstance(other, Poly) and isinstance(other, Scalar):
+        if not isinstance(other, Poly):
+            if not isinstance(other, Scalar):
+                return NotImplemented
             other = Poly.const(self.size, other)
         self._check_size(other)
         small, big, den = self._terms, other._terms, self._den
@@ -299,7 +301,9 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other) -> "Poly":
-        if not isinstance(other, Poly) and isinstance(other, Scalar):
+        if not isinstance(other, Poly):
+            if not isinstance(other, Scalar):
+                return NotImplemented
             other = Poly.const(self.size, other)
         self._check_size(other)
         # the shorter factor drives the outer loop; the budget is checked

@@ -127,6 +127,19 @@ def test_bad_direction_raises():
         singular_scan(t3_form(1), (9,), [(0.0, 0.0, 0.0)])
 
 
+def test_no_direction_raises():
+    with pytest.raises(ParameterError, match="at least one invariance direction"):
+        singular_scan(t5_lutz_form(), (), random_points(5, 5, seed=0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_point_raises(bad):
+    with pytest.raises(ParameterError, match="non-finite"):
+        pointwise_class(t3_form(1), (0.1, bad, 0.2))
+    with pytest.raises(ParameterError, match="non-finite"):
+        contact_scan(t5_lutz_form(), [(0.1, 0.2, 0.3, 0.4, 0.5), (0.1, 0.2, bad, 0.4, 0.5)])
+
+
 def formfn_from_poly_form(form: Form) -> FormFn:
     """Bridge: wrap a polynomial 1-form as float coefficient functions."""
     n = form.size

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from contactforge import config
 from contactforge.errors import DimensionError, IncompleteAssignmentError, TermLimitError
+from contactforge.exterior import Form
 from contactforge.polyring import (
     Poly,
     determinant,
@@ -434,3 +435,15 @@ def test_budget_is_read_once_and_checked_per_row(monkeypatch):
     # plus one row of the longer factor, long before all of its terms exist
     reached = int(str(info.value).split("reached ")[1].split()[0])
     assert 500 < reached <= 500 + len(pq.terms)
+
+
+def test_a_foreign_operand_falls_back_or_raises_type_error():
+    x = Poly.variable(2, 1, 2)
+    dx = Form.generator(2, (1, 1))
+    assert x * dx == dx * x
+    with pytest.raises(TypeError):
+        x + dx
+    with pytest.raises(TypeError):
+        x - dx
+    with pytest.raises(TypeError):
+        x * "a"

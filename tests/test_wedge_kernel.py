@@ -10,10 +10,11 @@ from fractions import Fraction
 
 import pytest
 
-from contactforge import config, exterior
+from contactforge import config, exterior, numeric
 from contactforge.errors import DegreeError, DimensionError, TermLimitError
-from contactforge.exterior import Form, VField, ext_d, interior_product, wedge, wedge_power
-from contactforge.numeric import _wedge_masks, pointwise_class, random_points, t3_form, t5_lutz_form
+from contactforge.exterior import Form, VField, _wedge_masks, ext_d, interior_product, wedge, wedge_power
+from contactforge.numeric import (_wedge, contact_scan, grid_points, pointwise_class, random_points,
+                                  t3_form, t5_lutz_form)
 from contactforge.polyring import Poly
 
 from conftest import rand_poly
@@ -314,6 +315,7 @@ def test_a_malformed_tuple_is_not_in_the_view(gens):
 @pytest.mark.parametrize("dim", [3, 5])
 def test_float_kernel_matches_the_tuple_merge_reference(dim):
     rng = random.Random(dim)
+    plans = {}  # shared across the pairs, so layouts of equal sizes meet in it
     for _ in range(300):
         forms = []
         for _ in range(2):
@@ -326,9 +328,13 @@ def test_float_kernel_matches_the_tuple_merge_reference(dim):
         expected = reference_float_wedge(*forms)
         masks = [{sum(1 << (i - 1) for i in key): c for key, c in form.items()}
                  for form in forms]
-        got = _wedge_masks(*masks)
-        decoded = {tuple(i + 1 for i in range(dim) if m >> i & 1): c for m, c in got.items()}
-        assert list(decoded.items()) == list(expected.items())
+        # the plan route, with a fresh plan and with one built on other values
+        other = [{m: rng.uniform(-3.0, 3.0) for m in form} for form in masks]
+        _wedge(plans, *other)
+        for got in (_wedge_masks(*masks), _wedge({}, *masks), _wedge(plans, *masks)):
+            decoded = [(tuple(i + 1 for i in range(dim) if m >> i & 1), c.hex())
+                       for m, c in got.items()]
+            assert decoded == [(key, c.hex()) for key, c in expected.items()]
 
 
 @pytest.mark.parametrize("form, seed", [(t5_lutz_form(), 11), (t3_form(3), 12)],
@@ -339,6 +345,24 @@ def test_pointwise_magnitudes_are_bit_equal_to_the_reference_route(form, seed):
         cls, mag = reference_pointwise_class(form, point)
         assert (got.cls, got.magnitude) == (cls, mag)
         assert mag > 0
+
+
+def test_a_grid_scan_runs_new_plans_where_coefficients_vanish(monkeypatch):
+    form = t3_form(1)
+    seen = []
+    route = pointwise_class
+
+    def spy(f, point, tol=1e-9):
+        got = route(f, point, tol)
+        seen.append((got.cls, got.magnitude, reference_pointwise_class(f, point, tol)))
+        return got
+
+    monkeypatch.setattr(numeric, "pointwise_class", spy)
+    report = contact_scan(form, grid_points(3, 8))
+    assert report.n_points == len(seen) == 512
+    for cls, mag, expected in seen:
+        assert (cls, mag) == expected
+    assert len(form.plans) > 1
 
 
 # -- the public constructor and the budget ---------------------------------------------
