@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run every verification suite for each p that `all` accepts (1 and 2) and
+"""Run every verification suite for each p that `all` accepts (1, 2 and 3) and
 write JSON reports.
 
 Usage: python scripts/run_full_audit.py [output-dir]

@@ -221,7 +221,7 @@ SUITES: dict[str, Suite] = {
         "the J-preserving subalgebra", ()),
     "u-decomp": Suite(
         lambda a, frame: u_decomposition(a.p, frame()),
-        "coframe decomposition of the contact form", (1, 2)),
+        "coframe decomposition of the contact form", (1, 2, 3)),
     "cartan-class": Suite(
         _cartan_class, "Cartan class of a covector", None,
         (*_ALGEBRA, _arg("--form", help="comma-separated rational coordinates"), _SEED),
@@ -244,7 +244,7 @@ SUITES: dict[str, Suite] = {
         ),
         in_all=({"form": "t3", "n1": 1, "points": 500, "tol": 1e-9},
                 {"form": "t5-lutz", "n1": 1, "points": 500, "tol": 1e-9})),
-    "all": Suite(None, "run every suite for one p", (1, 2), (_samples(20), _SEED), in_all=()),
+    "all": Suite(None, "run every suite for one p", (1, 2, 3), (_samples(20), _SEED), in_all=()),
 }
 
 

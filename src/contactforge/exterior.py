@@ -225,6 +225,8 @@ class Form:
     __hash__ = None
 
     def __add__(self, other: "Form") -> "Form":
+        if not isinstance(other, Form):
+            return NotImplemented
         self._check_compat(other)
         if other.is_zero:
             return self
@@ -241,6 +243,8 @@ class Form:
         return Form._trusted(self.size, self.degree, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Form") -> "Form":
+        if not isinstance(other, Form):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, scalar) -> "Form":

@@ -243,20 +243,13 @@ class SingularScanReport:
 
 
 def _jacobian_rank(rows: list[list[float]], tol: float) -> int:
-    """Rank by minor magnitudes (k <= 3 rows in scope)."""
-    k = len(rows)
-    cols = len(rows[0]) if k else 0
-    rank = 0
-    if any(abs(x) > tol for row in rows for x in row):
-        rank = 1
-    if k >= 2:
-        for r1 in range(k):
-            for r2 in range(r1 + 1, k):
-                for c1 in range(cols):
-                    for c2 in range(c1 + 1, cols):
-                        m = rows[r1][c1] * rows[r2][c2] - rows[r1][c2] * rows[r2][c1]
-                        if abs(m) > tol:
-                            rank = 2
+    """Rank of one or two rows by the magnitudes of their entries and 2x2 minors."""
+    rank = int(any(abs(x) > tol for row in rows for x in row))
+    if len(rows) == 2:
+        a, b = rows
+        if any(abs(a[c1] * b[c2] - a[c2] * b[c1]) > tol
+               for c1 in range(len(a)) for c2 in range(c1 + 1, len(a))):
+            rank = 2
     return rank
 
 
@@ -264,19 +257,27 @@ def singular_scan(f: FormFn, directions, points, tol: float = 1e-9, seed: int = 
     """Diagnostics for invariance directions: the singular set and the rank of
     the pairing map phi = (omega(Y_i)) along constant coordinate fields Y_i.
 
-    directions are 1-based chart axes. Invariance of every coefficient and
-    partial along those axes is checked by evaluation at shifted points.
+    directions are one or two 1-based chart axes. Invariance of every
+    coefficient and partial along those axes is checked by evaluation at
+    shifted points.
     """
     if not 0 < tol < math.inf:
         raise ParameterError(f"tolerance must be finite and positive, got {tol}")
     dirs = tuple(directions)
     if not dirs:
         raise ParameterError("singular scan needs at least one invariance direction")
+    if len(dirs) > 2:
+        raise ParameterError("singular scan takes at most two invariance directions")
     if any(not 1 <= d <= f.dim for d in dirs):
         raise ParameterError("invariance directions must be chart axes")
+    pts = [tuple(pt) for pt in points]
+    if not pts:
+        raise ParameterError("empty point set")
+    for pt in pts:
+        if not all(map(math.isfinite, pt)):
+            raise ParameterError(f"point has a non-finite coordinate: {pt}")
     rng = random.Random(seed)
     max_diff = 0.0
-    pts = [tuple(pt) for pt in points]
     for _ in range(100):
         base = tuple(rng.random() * TWO_PI for _ in range(f.dim))
         shifted = list(base)

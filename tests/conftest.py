@@ -53,3 +53,10 @@ def frame_p2():
     from contactforge.slcontact import build_frame
 
     return build_frame(2)
+
+
+@pytest.fixture(scope="session")
+def frame_p3():
+    from contactforge.slcontact import build_frame
+
+    return build_frame(3)

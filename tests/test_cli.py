@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import pathlib
+import resource
+import subprocess
+import sys
 import types
 
 import pytest
@@ -120,6 +124,25 @@ def test_structural_cli():
 
 def test_u_decomp_cli():
     assert run(["u-decomp", "--p", "1"]) == 0
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_u_decomp_p3_under_one_gib(tmp_path):
+    """The p = 3 suite through the CLI, in a child process capped at 1 GiB."""
+    out = tmp_path / "u3.json"
+    src = pathlib.Path(__file__).parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "contactforge.cli", "u-decomp", "--p", "3", "--json", str(out)],
+        env=env, preexec_fn=_limit_address_space, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    verdicts = [c["verdict"] for c in json.loads(out.read_text())["claims"]]
+    assert sorted(verdicts) == ["confirmed"] * 3 + ["reported-only"]
 
 
 def test_json_byte_determinism(tmp_path):

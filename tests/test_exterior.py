@@ -66,6 +66,21 @@ def test_wedge_power_of_d_omega_p1(frame_p1):
     assert square.terms == {vol: Poly.const(2, 8)}
 
 
+def test_adding_a_non_form_raises_type_error():
+    dx = Form.generator(2, (1, 1))
+    x = Poly.variable(2, 1, 2)
+    for operand in (1, x):
+        with pytest.raises(TypeError):
+            dx + operand
+        with pytest.raises(TypeError):
+            dx - operand
+        with pytest.raises(TypeError):
+            operand + dx
+        with pytest.raises(TypeError):
+            operand - dx
+    assert dx - dx == Form.zero(2, 1)
+
+
 def test_ext_d_of_constant():
     assert ext_d(Form.from_poly(Poly.const(2, 5))).is_zero
 

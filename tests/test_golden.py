@@ -17,6 +17,7 @@ from contactforge import cli
 GOLDEN_SHA256 = {
     1: "4bd2b7feb0f13d1c3b45981996261d8351d74fbad6d7a23be86377480e44fbfc",
     2: "66cf2e306b81d6f27bbe55bc59def10107bd5b07ac18d1cfc9d8329185c324c8",
+    3: "5ad24aeea604ee50f1e8e6d6f82d9390cf98f95affa8bd64ceed5e538bfbcc16",
 }
 
 SCAN_GOLDEN_SHA256 = {
@@ -27,6 +28,7 @@ SCAN_GOLDEN_SHA256 = {
 }
 
 
+# p = 3 (about 14 s) is checked once, through the full-audit script below
 @pytest.mark.parametrize("p", [1, 2])
 def test_all_report_matches_golden_sha256(p, tmp_path, capsys):
     path = tmp_path / f"all_p{p}.json"
@@ -41,7 +43,8 @@ def test_run_full_audit_script_reproduces_golden_reports(tmp_path, monkeypatch, 
     with pytest.raises(SystemExit) as exit_info:
         runpy.run_path(str(script), run_name="__main__")
     assert exit_info.value.code == 0
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["audit_p1.json", "audit_p2.json"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "audit_p1.json", "audit_p2.json", "audit_p3.json"]
     for p, digest in GOLDEN_SHA256.items():
         assert hashlib.sha256((tmp_path / f"audit_p{p}.json").read_bytes()).hexdigest() == digest
 

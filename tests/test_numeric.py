@@ -130,6 +130,14 @@ def test_bad_direction_raises():
 def test_no_direction_raises():
     with pytest.raises(ParameterError, match="at least one invariance direction"):
         singular_scan(t5_lutz_form(), (), random_points(5, 5, seed=0))
+    with pytest.raises(ParameterError, match="empty point set"):
+        singular_scan(t5_lutz_form(), (4, 5), [])
+
+
+def test_more_than_two_directions_raises():
+    # the Jacobian rank is read from entries and 2x2 minors only
+    with pytest.raises(ParameterError, match="at most two invariance directions"):
+        singular_scan(t5_lutz_form(), (3, 4, 5), random_points(5, 5, seed=0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -138,6 +146,8 @@ def test_non_finite_point_raises(bad):
         pointwise_class(t3_form(1), (0.1, bad, 0.2))
     with pytest.raises(ParameterError, match="non-finite"):
         contact_scan(t5_lutz_form(), [(0.1, 0.2, 0.3, 0.4, 0.5), (0.1, 0.2, bad, 0.4, 0.5)])
+    with pytest.raises(ParameterError, match="non-finite"):
+        singular_scan(t5_lutz_form(), (4, 5), [(0.1, 0.2, 0.3, 0.4, 0.5), (0.1, 0.2, bad, 0.4, 0.5)])
 
 
 def formfn_from_poly_form(form: Form) -> FormFn:

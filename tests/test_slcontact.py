@@ -308,9 +308,9 @@ def test_u_decomposition_p1_quoted_formulas(frame_p1):
     assert u21 == a(1, 2) * a(1, 2) + a(2, 2) * a(2, 2)
 
 
-@pytest.mark.parametrize("p", [1, 2])
-def test_u_decomposition_report(p, frame_p1, frame_p2):
-    frame = frame_p1 if p == 1 else frame_p2
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_u_decomposition_report(p, request):
+    frame = request.getfixturevalue(f"frame_p{p}")
     rep = u_decomposition(p, frame)
     assert rep.ok
     by_anchor = {c.anchor: c for c in rep.claims}
@@ -325,6 +325,69 @@ def test_u_decomposition_report(p, frame_p1, frame_p2):
         "literal coefficient-wise reading: sum u alpha = omega modulo (det - 1)"
     ]
     assert literal.verdict == REPORTED_ONLY
+
+
+def _u_difference(frame):
+    """(sum u alpha - omega, gamma), built as u_decomposition builds them."""
+    u = {kl: interior_product(frame.X[kl], frame.omega).as_poly() for kl in frame.X}
+    recon = Form.zero(frame.size, 1)
+    for kl, coeff in u.items():
+        recon = recon + frame.alpha[kl] * coeff
+    gamma = Poly.zero(frame.size)
+    for k in range(1, frame.size):
+        gamma = gamma + u[(k, k)]
+    return recon - frame.omega, gamma * F(1, 2 * frame.p)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_u_tangential_claim_matches_the_wedge_expansion(p, request):
+    """Reference for the derived claim: the expansion the report no longer runs."""
+    frame = request.getfixturevalue(f"frame_p{p}")
+    shift = frame.delta - 1
+    difference, gamma = _u_difference(frame)
+    tangential = wedge(difference, frame.d_delta)
+    assert not tangential.is_zero
+    assert all(reduce_mod_principal(c, shift).is_zero for c in tangential.terms.values())
+
+    def reduced(form):
+        return {g: r for g, c in form.terms.items()
+                if not (r := reduce_mod_principal(c, shift)).is_zero}
+
+    residual = reduced(difference)
+    assert residual and residual == reduced(frame.d_delta * gamma)
+
+
+def _coefficient_vector(form, point, n):
+    return [form.terms.get(((i, j),), Poly.zero(n)).evaluate(point)
+            for i in range(1, n + 1) for j in range(1, n + 1)]
+
+
+def _parallel(v, w):
+    """Every 2x2 minor of the 2 x n^2 matrix with rows v and w is 0."""
+    return all(v[i] * w[j] == v[j] * w[i]
+               for i in range(len(v)) for j in range(i + 1, len(v)))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_u_tangential_claim_pointwise(p, request):
+    """Pointwise oracle without the wedge kernel: at sampled SL points the
+    1-forms sum u alpha - omega and d(det) are parallel, so their wedge
+    vanishes there; off the locus (det = 2) it does not."""
+    frame = request.getfixturevalue(f"frame_p{p}")
+    n = frame.size
+    difference, _ = _u_difference(frame)
+    for seed in range(3):
+        a = sample_group_point("SL", n, seed)
+        assert linalg.det(a) == 1
+        point = matrix_point(a)
+        assert _parallel(_coefficient_vector(difference, point, n),
+                         _coefficient_vector(frame.d_delta, point, n))
+    off = sample_group_point("SL", n, 0)
+    off[0] = [2 * x for x in off[0]]
+    assert linalg.det(off) == 2
+    point = matrix_point(off)
+    assert not _parallel(_coefficient_vector(difference, point, n),
+                         _coefficient_vector(frame.d_delta, point, n))
 
 
 def test_u_reconstruction_residual_is_gamma_ddelta(frame_p1):
