@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from . import config
 from .errors import DegreeError, DimensionError, TermLimitError
-from .polyring import Poly, TermView, Var, minor, row_major_vars
+from .polyring import Poly, Scalar, TermView, Var, minor, row_major_vars
 
 
 def _above_parity(mask: int) -> int:
@@ -249,10 +249,9 @@ class Form:
 
     def __mul__(self, scalar) -> "Form":
         """Multiply by a Poly or a rational scalar."""
-        if isinstance(scalar, Poly):
-            factor = scalar
-        else:
-            factor = Poly.const(self.size, scalar)
+        if not isinstance(scalar, (Poly, *Scalar)):
+            return NotImplemented
+        factor = scalar if isinstance(scalar, Poly) else Poly.const(self.size, scalar)
         out = {m: prod for m, c in self._terms.items() if not (prod := c * factor).is_zero}
         return Form._trusted(self.size, self.degree, out)
 
@@ -313,6 +312,8 @@ class VField:
     __hash__ = None
 
     def __add__(self, other: "VField") -> "VField":
+        if not isinstance(other, VField):
+            return NotImplemented
         if self.size != other.size:
             raise DimensionError("ambient sizes differ")
         out = dict(self.coeffs)
@@ -324,9 +325,13 @@ class VField:
         return VField(self.size, {v: -c for v, c in self.coeffs.items()})
 
     def __sub__(self, other: "VField") -> "VField":
+        if not isinstance(other, VField):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, scalar) -> "VField":
+        if not isinstance(scalar, (Poly, *Scalar)):
+            return NotImplemented
         factor = scalar if isinstance(scalar, Poly) else Poly.const(self.size, scalar)
         return VField(self.size, {v: c * factor for v, c in self.coeffs.items()})
 

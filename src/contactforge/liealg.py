@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import InvalidAlgebraError, ParameterError
+from .exterior import _wedge_masks
 
 Covector = tuple[Fraction, ...]
 
@@ -362,8 +363,9 @@ def cartan_class_wedge(g: LieAlg, alpha: Covector) -> int:
     exactly when alpha ^ (d alpha)^p does. Each step counts every perfect
     matching once instead of k+1 times (see _next_divided_power), and the
     chain is built once: the last nonzero power is kept for the final wedge
-    with alpha. The route uses neither linalg nor a rank, so it stays
-    independent of cartan_class, which the tests cross-check it against.
+    with alpha, taken by exterior's mask kernel. The route uses neither
+    linalg nor a rank, so it stays independent of cartan_class, which the
+    tests cross-check it against.
     """
     if len(alpha) != g.dim:
         raise InvalidAlgebraError(f"covector length {len(alpha)} != dim {g.dim}")
@@ -378,17 +380,7 @@ def cartan_class_wedge(g: LieAlg, alpha: Covector) -> int:
         best_p += 1
         last = power
         power = _next_divided_power(power, below)
-    # alpha ^ last: moving e_a into place passes the generators of the term below a
-    top: dict[int, int] = {}
-    for mask, coeff in last.items():
-        for bit, a in a_form.items():
-            if mask & bit:
-                continue
-            value = a * coeff
-            if (mask & (bit - 1)).bit_count() & 1:
-                value = -value
-            top[mask | bit] = top.get(mask | bit, 0) + value
-    return 2 * best_p + 1 if any(top.values()) else 2 * best_p
+    return 2 * best_p + 1 if any(_wedge_masks(a_form, last).values()) else 2 * best_p
 
 
 # -- surveys -------------------------------------------------------------------

@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
-from .errors import InternalCheckError, ParameterError
+from . import config, linalg
+from .errors import InternalCheckError, ParameterError, TermLimitError
 from .exterior import (
     Form,
     VField,
@@ -290,6 +290,17 @@ class ReebResult:
 
 
 def reeb_field(p: int, frame: SLFrame | None = None) -> ReebResult:
+    """Audit the quoted Reeb candidate and normalize it.
+
+    The candidate R = numerator / (4 det) is checked by exact contraction:
+    i(4 det R) d omega = 2 d(det) and omega(4 det R) = -2p det, so
+    omega(R) = -p/2 and R_norm = normalizer * R with normalizer = -2/p. The
+    kernel claim i(R_norm) d omega ^ d(det) = 0 is derived without a wedge:
+    i(normalized_numerator) d omega is computed exactly and compared with
+    (normalizer / 2) d(det), the value the first identity predicts. When
+    they agree the wedge is (normalizer / 2) d(det) ^ d(det) = 0, so the
+    claim is confirmed; when they do not it is refuted, as not established.
+    """
     frame = frame or build_frame(p)
     n = frame.size
     rep = VerifyReport("reeb", {"p": p})
@@ -346,10 +357,10 @@ def reeb_field(p: int, frame: SLFrame | None = None) -> ReebResult:
             True,
             "derived",
         )
-        kernel_form = wedge(interior_product(normalized_numerator, d_omega), frame.d_delta)
+        kernel_norm = interior_product(normalized_numerator, d_omega)
         rep.check(
             "i(R_norm) d omega ^ d(det) = 0 in the ambient ring",
-            kernel_form.is_zero,
+            kernel_norm == frame.d_delta * (normalizer / 2),
             True,
             "derived",
         )
@@ -761,6 +772,10 @@ def h_algebra(p: int) -> SubalgebraResult:
     if p < 1:
         raise ParameterError("p must be >= 1")
     n = 2 * p
+    # the dense n^2 x n^2 system below is the largest object; refuse it up front
+    limit = config.get_max_terms()
+    if n ** 4 > limit:
+        raise TermLimitError(f"h-algebra system of {n ** 4} entries (budget {limit})")
     jm = j_matrix(p)
     rep = VerifyReport("h-algebra", {"p": p})
 

@@ -71,6 +71,13 @@ def test_h_algebra_p2(capsys):
     assert "dim h = p(2p+1)" in text
 
 
+def test_h_algebra_over_budget_exits_3(capsys):
+    # the p = 2 system has n^4 = 256 entries; the budget is checked before it is built
+    assert run(["h-algebra", "--p", "2", "--max-terms", "100"]) == 3
+    assert "256" in capsys.readouterr().err
+    assert run(["h-algebra", "--p", "2"]) == 0  # the override ends with its run
+
+
 def test_reeb(tmp_path):
     out = tmp_path / "reeb.json"
     assert run(["reeb", "--p", "1", "--json", str(out)]) == 0
@@ -127,22 +134,23 @@ def test_u_decomp_cli():
 
 
 def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
 
 
-def test_u_decomp_p3_under_one_gib(tmp_path):
-    """The p = 3 suite through the CLI, in a child process capped at 1 GiB."""
-    out = tmp_path / "u3.json"
+@pytest.mark.parametrize("suite, confirmed", [("u-decomp", 3), ("reeb", 4)], ids=["u-decomp", "reeb"])
+def test_p3_suite_under_256_mib(suite, confirmed, tmp_path):
+    """A p = 3 suite through the CLI, in a child process capped at 256 MiB."""
+    out = tmp_path / "s3.json"
     src = pathlib.Path(__file__).parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "contactforge.cli", "u-decomp", "--p", "3", "--json", str(out)],
+        [sys.executable, "-m", "contactforge.cli", suite, "--p", "3", "--json", str(out)],
         env=env, preexec_fn=_limit_address_space, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     verdicts = [c["verdict"] for c in json.loads(out.read_text())["claims"]]
-    assert sorted(verdicts) == ["confirmed"] * 3 + ["reported-only"]
+    assert sorted(verdicts) == ["confirmed"] * confirmed + ["reported-only"]
 
 
 def test_json_byte_determinism(tmp_path):

@@ -2,6 +2,7 @@
 covector transport."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,27 @@ def test_adding_a_non_form_raises_type_error():
         with pytest.raises(TypeError):
             operand - dx
     assert dx - dx == Form.zero(2, 1)
+
+    # only a Poly, an int or a Fraction scales; a str or a float is refused
+    field = VField(2, {(1, 1): x})
+    for value in (field, dx):
+        for operand in ("1/2", 0.1):
+            with pytest.raises(TypeError):
+                value * operand
+            with pytest.raises(TypeError):
+                operand * value
+    for operand in (1, x, dx):
+        with pytest.raises(TypeError):
+            field + operand
+        with pytest.raises(TypeError):
+            field - operand
+        with pytest.raises(TypeError):
+            operand + field
+        with pytest.raises(TypeError):
+            operand - field
+    assert x * field == field * x == VField(2, {(1, 1): x * x})
+    half = Form(2, 1, {((1, 1),): Poly.const(2, Fraction(1, 2))})
+    assert Fraction(1, 2) * dx == dx * Fraction(1, 2) == half
 
 
 def test_ext_d_of_constant():

@@ -28,7 +28,7 @@ SCAN_GOLDEN_SHA256 = {
 }
 
 
-# p = 3 (about 14 s) is checked once, through the full-audit script below
+# p = 3 (about 7 s) is checked once, through the full-audit script below
 @pytest.mark.parametrize("p", [1, 2])
 def test_all_report_matches_golden_sha256(p, tmp_path, capsys):
     path = tmp_path / f"all_p{p}.json"

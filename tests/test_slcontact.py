@@ -125,6 +125,24 @@ def test_reeb_contraction_example_p1(frame_p1):
     assert pairing == frame_p1.delta * -2  # divide by 4 det: -1/2
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_reeb_kernel_claim_pointwise(p, request):
+    """Pointwise oracle without the wedge kernel: i(R_norm) d omega, cleared
+    of det, is -1/p times d(det), whose da[i,j] coefficient is the cofactor
+    adj(a)[j][i]. It holds in the ambient ring, so at a det = 2 point too."""
+    frame = request.getfixturevalue(f"frame_p{p}")
+    n = frame.size
+    kernel = interior_product(reeb_field(p, frame).normalized_numerator, ext_d(frame.omega))
+    off = sample_group_point("SL", n, 0)
+    off[0] = [2 * x for x in off[0]]
+    points = [(sample_group_point("SL", n, seed), 1) for seed in range(3)] + [(off, 2)]
+    for a, det in points:
+        got_det, adj = linalg.det_adj(a)
+        assert got_det == det
+        expected = [F(-1, p) * adj[j][i] for i in range(n) for j in range(n)]
+        assert _coefficient_vector(kernel, matrix_point(a), n) == expected
+
+
 # -- structural suite --------------------------------------------------------------
 
 
