@@ -125,6 +125,8 @@ def _class_survey(args, frame) -> VerifyReport:
 def _scan(args, frame) -> VerifyReport:
     if args.form not in BUILTIN_FORMS:
         raise ParameterError(f"unknown built-in form {args.form!r}")
+    if args.form == "t3" and args.n1 == 0:
+        raise ParameterError("--n1 0 makes t3 the closed form d theta2 (class 1), not a contact form")
     form = t3_form(args.n1) if args.form == "t3" else BUILTIN_FORMS[args.form]()
     rep = VerifyReport(
         "scan",
@@ -136,7 +138,7 @@ def _scan(args, frame) -> VerifyReport:
         },
     )
     result = contact_scan(form, random_points(form.dim, args.points, args.seed), args.tol)
-    expected = form.dim  # both built-ins are contact forms on their tori
+    expected = form.dim  # both built-ins, t3 for n1 != 0, are contact forms on their tori
     rep.check(
         "class is constant across the scan",
         result.min_class == result.max_class,

@@ -7,10 +7,20 @@ differentiated numerically (finite differences appear only as a self-test in
 the suite). Class computations expand wedge powers combinatorially over the
 chart basis, which matches the wedge-power definition of the class directly
 and keeps the module dependency-free. Forms are {mask: float} dicts, with
-d theta_{i+1} as bit i, under the exact layer's mask and sign rule: each
-pair of mask layouts is compiled once by `exterior._wedge_plan`, kept on the
-FormFn, and replayed at every point with the multiplies, negations and
-left-to-right sums of `exterior._wedge_masks`, so results are bit-equal.
+d theta_{i+1} as bit i, under the exact layer's mask and sign rule.
+
+Compiled plans: each pair of mask layouts is planned once by
+`exterior._wedge_plan` and compiled into one straight-line function of the two
+value lists, kept on the FormFn. Each result slot is the sum of its products in
+the order `exterior._wedge_masks` visits them, the first negated as -(f*g) and
+later negated ones subtracted, so results are bit-equal to that kernel.
+
+Live partials: the built-in forms share the module's `_zero`, and a FormFn
+lists, once, the coefficients and d theta_i ^ d theta_j terms that do not
+reduce to it. `_alpha_dalpha` never calls `_zero` and calls only the other
+side of a term whose one side is `_zero`; since a - 0.0 == a, and 0.0 - b
+differs from -b only in the sign of a zero that the class drops anyway, the
+floats are unchanged.
 """
 
 from __future__ import annotations
@@ -25,13 +35,20 @@ from .exterior import _wedge_plan
 TWO_PI = 2.0 * math.pi
 
 
+def _zero(th) -> float:
+    """The identically zero coefficient or partial, never called by the class route."""
+    return 0.0
+
+
 @dataclass(frozen=True)
 class FormFn:
     """1-form on a dim-dimensional chart: coefficients and their partials.
 
     coeff[i](point) is the coefficient of d theta_{i+1}; partial[i][j](point)
     is its derivative along theta_{j+1}, supplied analytically. `plans` holds
-    the wedge plans of the mask layouts its points have met.
+    the compiled wedge plans of the mask layouts its points have met; `_live`
+    holds (mask, coeff) for alpha and (mask, plus, minus) for d alpha, leaving
+    out `_zero` functions (a side that is `_zero` is None).
     """
 
     dim: int
@@ -39,30 +56,45 @@ class FormFn:
     coeff: tuple
     partial: tuple
     plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _live: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.dim
+        if len(self.coeff) != n:
+            raise ParameterError(f"{self.name}: {len(self.coeff)} coefficients, chart dimension is {n}")
+        if len(self.partial) != n or any(len(row) != n for row in self.partial):
+            raise ParameterError(f"{self.name}: partials are not {n} x {n}")
+        live = lambda fn: None if fn is _zero else fn
+        alpha = tuple((1 << i, c) for i, c in enumerate(self.coeff) if c is not _zero)
+        dalpha = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                plus, minus = live(self.partial[j][i]), live(self.partial[i][j])
+                if plus is not None or minus is not None:
+                    dalpha.append((1 << i | 1 << j, plus, minus))
+        object.__setattr__(self, "_live", (alpha, tuple(dalpha)))
 
 
 def t3_form(n1: int = 1) -> FormFn:
     """cos(n1 t1) d t2 + sin(n1 t1) d t3 on the 3-torus."""
-    zero = lambda th: 0.0
     return FormFn(
         dim=3,
         name=f"t3(n1={n1})",
         coeff=(
-            zero,
+            _zero,
             lambda th: math.cos(n1 * th[0]),
             lambda th: math.sin(n1 * th[0]),
         ),
         partial=(
-            (zero, zero, zero),
-            (lambda th: -n1 * math.sin(n1 * th[0]), zero, zero),
-            (lambda th: n1 * math.cos(n1 * th[0]), zero, zero),
+            (_zero, _zero, _zero),
+            (lambda th: -n1 * math.sin(n1 * th[0]), _zero, _zero),
+            (lambda th: n1 * math.cos(n1 * th[0]), _zero, _zero),
         ),
     )
 
 
 def t5_lutz_form() -> FormFn:
     """The five-term contact form on the 5-torus, invariant along t4 and t5."""
-    zero = lambda th: 0.0
     s, c = math.sin, math.cos
     return FormFn(
         dim=5,
@@ -75,22 +107,22 @@ def t5_lutz_form() -> FormFn:
             lambda th: s(th[0]) * s(th[2]) + s(th[1]) * c(th[2]),
         ),
         partial=(
-            (zero, lambda th: c(2 * th[1]), zero, zero, zero),
-            (lambda th: -c(2 * th[0]), zero, zero, zero, zero),
-            (lambda th: -s(th[0]) * c(th[1]), lambda th: -c(th[0]) * s(th[1]), zero, zero, zero),
+            (_zero, lambda th: c(2 * th[1]), _zero, _zero, _zero),
+            (lambda th: -c(2 * th[0]), _zero, _zero, _zero, _zero),
+            (lambda th: -s(th[0]) * c(th[1]), lambda th: -c(th[0]) * s(th[1]), _zero, _zero, _zero),
             (
                 lambda th: c(th[0]) * c(th[2]),
                 lambda th: -c(th[1]) * s(th[2]),
                 lambda th: -s(th[0]) * s(th[2]) - s(th[1]) * c(th[2]),
-                zero,
-                zero,
+                _zero,
+                _zero,
             ),
             (
                 lambda th: c(th[0]) * s(th[2]),
                 lambda th: c(th[1]) * c(th[2]),
                 lambda th: s(th[0]) * c(th[2]) - s(th[1]) * s(th[2]),
-                zero,
-                zero,
+                _zero,
+                _zero,
             ),
         ),
     )
@@ -103,37 +135,48 @@ def _norm(f: dict) -> float:
     return max(map(abs, f.values()), default=0.0)
 
 
-def _wedge(plans: dict, f: dict, g: dict) -> dict:
-    """f ^ g by the plan of their mask layouts, built on first use."""
-    key = (tuple(f), tuple(g))
-    plan = plans.get(key)
-    if plan is None:
-        plan = plans[key] = _wedge_plan(*key)
-    masks, rows = plan
-    gv = list(g.values())
-    acc = [None] * len(masks)
-    for c1, row in zip(f.values(), rows):
+def _compile(masks: list, rows: list):
+    """The plan (masks, rows) of `exterior._wedge_plan` as one function of
+    the value lists of f and g that returns the {mask: float} wedge."""
+    products = [[] for _ in masks]
+    for i, row in enumerate(rows):
         for j, slot, negate in row:
-            prod = c1 * gv[j]
-            if negate:
-                prod = -prod
-            a = acc[slot]
-            acc[slot] = prod if a is None else a + prod
-    return dict(zip(masks, acc))
+            products[slot].append((f"f[{i}]*g[{j}]", negate))
+    slots = []
+    for mask, ((first, negate), *rest) in zip(masks, products):
+        expr = f"-({first})" if negate else first
+        expr += "".join(f" - {p}" if neg else f" + {p}" for p, neg in rest)
+        slots.append(f"{mask}: {expr}")
+    # the source holds only the plan's masks and indices, never text from a caller
+    return eval(f"lambda f, g: {{{', '.join(slots)}}}", {"__builtins__": {}})
+
+
+def _wedge(plans: dict, f: dict, g: dict) -> dict:
+    """f ^ g by the compiled plan of their mask layouts, built on first use."""
+    key = (tuple(f), tuple(g))
+    kernel = plans.get(key)
+    if kernel is None:
+        kernel = plans[key] = _compile(*_wedge_plan(*key))
+    return kernel(list(f.values()), list(g.values()))
 
 
 def _alpha_dalpha(f: FormFn, point):
+    alpha_terms, dalpha_terms = f._live
     alpha = {}
-    for i in range(f.dim):
-        v = f.coeff[i](point)
+    for mask, coeff in alpha_terms:
+        v = coeff(point)
         if v:
-            alpha[1 << i] = v
+            alpha[mask] = v
     dalpha = {}
-    for i in range(f.dim):
-        for j in range(i + 1, f.dim):
-            v = f.partial[j][i](point) - f.partial[i][j](point)
-            if v:
-                dalpha[1 << i | 1 << j] = v
+    for mask, plus, minus in dalpha_terms:
+        if minus is None:
+            v = plus(point)
+        elif plus is None:
+            v = -minus(point)
+        else:
+            v = plus(point) - minus(point)
+        if v:
+            dalpha[mask] = v
     return alpha, dalpha
 
 

@@ -319,6 +319,12 @@ class Poly:
         if degree > MAX_DEGREE:
             raise TermLimitError(f"polynomial product of degree {degree} exceeds {MAX_DEGREE}")
         limit = config.get_max_terms()
+        if len(small) == 1:
+            # one term shifts the other factor's monomials: none meet, none cancels
+            if len(big) > limit:
+                raise TermLimitError(f"polynomial product reached {len(big)} terms (budget {limit})")
+            [(m1, c1)] = small.items()
+            return _poly(self.size, {m1 + m2: c1 * c2 for m2, c2 in big.items()}, self._den * other._den)
         out: dict[int, int] = {}
         get = out.get
         row = list(big.items())

@@ -121,6 +121,13 @@ def test_scan_cli():
                 "--tol", "1e-9"]) == 0
 
 
+def test_scan_t3_with_n1_0_exits_2_naming_the_option(capsys):
+    # t3(0) = d theta2 is closed (class 1), so no scan of it can test the contact claim
+    assert run(["scan", "--form", "t3", "--n1", "0", "--points", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --n1 0") and "Traceback" not in err
+
+
 def test_invariance_cli():
     assert run(["invariance", "--p", "1", "--samples", "5", "--seed", "0"]) == 0
 

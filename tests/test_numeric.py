@@ -44,6 +44,19 @@ def test_closed_constant_form_class_1():
     assert scan.min_class == scan.max_class == 1
 
 
+_z = lambda th: 0.0
+
+
+@pytest.mark.parametrize("coeff, partial", [
+    ((_z,) * 2, ((_z,) * 3,) * 3),
+    ((_z,) * 3, ((_z,) * 3,) * 2),
+    ((_z,) * 3, ((_z,) * 3, (_z,) * 2, (_z,) * 3)),
+], ids=["short-coeff", "short-partial", "ragged-partial"])
+def test_a_form_of_the_wrong_shape_raises_parameter_error(coeff, partial):
+    with pytest.raises(ParameterError, match="chart dimension is 3|not 3 x 3"):
+        FormFn(3, "bad", coeff, partial)
+
+
 def test_bad_tolerance_raises():
     for tol in (math.nan, math.inf, -math.inf, 0.0, -1.0):
         with pytest.raises(ParameterError, match="finite and positive"):

@@ -1,5 +1,6 @@
 """Exact polynomial ring: arithmetic, determinants, division, evaluation."""
 
+import math
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -435,6 +436,51 @@ def test_budget_is_read_once_and_checked_per_row(monkeypatch):
     # plus one row of the longer factor, long before all of its terms exist
     reached = int(str(info.value).split("reached ")[1].split()[0])
     assert 500 < reached <= 500 + len(pq.terms)
+
+
+def general_kernel(p: Poly, q: Poly) -> tuple[list, int]:
+    """(terms in order, denominator) by the row loop of the general product, uncancelled."""
+    small, big = (p._terms, q._terms) if len(p._terms) <= len(q._terms) else (q._terms, p._terms)
+    out = {}
+    for m1, c1 in small.items():
+        for m2, c2 in big.items():
+            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+    return [(m, c) for m, c in out.items() if c], p._den * q._den
+
+
+@pytest.mark.parametrize("size", [2, 3, 6])
+def test_a_one_term_factor_matches_the_general_kernel(size):
+    rng = random.Random(200 + size)
+    x = Poly.variable(size, 1, size)
+    for trial in range(30):
+        big = Poly(size, random_terms(rng, size, rng.randint(1, 9)))
+        scale = rng.choice((-5, -2, 1, 3, 7))
+        one = [x * x * scale, Poly.const(size, scale),
+               Poly(size, random_terms(rng, size, 1) or {(): 1}),
+               x * Fraction(scale, rng.choice((2, 6, 35)))][trial % 4]
+        assert len(one.terms) == 1
+        if trial % 3 == 0:
+            big = big * Fraction(rng.choice((3, 10)), rng.choice((4, 21)))
+        terms, den = general_kernel(one, big)
+        for product in (one * big, big * one):
+            assert product.terms == ref_mul(one.terms, big.terms)
+            g = math.gcd(den, *(c for _, c in terms))  # the cancellation the kernel applies
+            assert list(product._terms.items()) == [(m, c // g) for m, c in terms]
+            assert product._den == den // g
+            assert_int_exactly_when_integral(product)
+
+
+def test_a_one_term_factor_keeps_the_budget_and_degree_checks(monkeypatch):
+    x = a(1, 1)
+    big = Poly(2, {((1, 2, e), (2, 1, 1)): e for e in range(1, 11)})
+    monkeypatch.setattr(config, "get_max_terms", lambda: 10)
+    assert len((x * big).terms) == 10
+    with pytest.raises(TermLimitError, match="reached 11 terms \\(budget 10\\)"):
+        x * (big + a(2, 2))
+    with pytest.raises(TermLimitError, match="reached 11 terms"):
+        (big + a(2, 2)) * Fraction(1, 3)
+    with pytest.raises(TermLimitError, match="degree 128 exceeds 127"):
+        x ** 117 * big
 
 
 def test_a_foreign_operand_falls_back_or_raises_type_error():

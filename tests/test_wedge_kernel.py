@@ -365,6 +365,72 @@ def test_a_grid_scan_runs_new_plans_where_coefficients_vanish(monkeypatch):
     assert len(form.plans) > 1
 
 
+def test_a_layout_where_no_pair_meets_compiles_to_an_empty_wedge():
+    plans = {}
+    for f, g in (({1: 2.0}, {1: 3.0}), ({3: 1.0, 5: -1.0}, {1: 2.0}), ({}, {3: 1.0}), ({1: 1.0}, {})):
+        assert _wedge(plans, f, g) == {} == _wedge_masks(f, g)
+    assert len(plans) == 4
+
+
+def with_fresh_zeros(form):
+    """A copy of a form whose shared zero functions are replaced by lambdas of its own."""
+    fresh = lambda fn: (lambda th: 0.0) if fn is numeric._zero else fn
+    return numeric.FormFn(form.dim, form.name, tuple(map(fresh, form.coeff)),
+                          tuple(tuple(map(fresh, row)) for row in form.partial))
+
+
+def test_the_shared_zero_is_never_called_and_fresh_zero_lambdas_are(monkeypatch):
+    zero_calls = []
+    monkeypatch.setattr(numeric, "_zero", lambda th: zero_calls.append(th) or 0.0)
+    form = t5_lutz_form()  # built with the counting zero as its shared zero
+    calls = {}
+
+    def counted(key, fn):
+        def call(th):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(th)
+        return call
+
+    fresh = with_fresh_zeros(form)
+    fresh = numeric.FormFn(
+        fresh.dim, fresh.name, tuple(counted(i, c) for i, c in enumerate(fresh.coeff)),
+        tuple(tuple(counted((i, j), d) for j, d in enumerate(row)) for i, row in enumerate(fresh.partial)))
+    point = (0.3, 1.1, 2.0, 0.4, 5.0)
+    assert pointwise_class(form, point) == pointwise_class(fresh, point)
+    assert not zero_calls
+    off_diagonal = [(i, j) for i in range(5) for j in range(5) if i != j]
+    assert calls == {**{i: 1 for i in range(5)}, **{key: 1 for key in off_diagonal}}
+
+
+@pytest.mark.parametrize("form, seed", [(t5_lutz_form(), 21), (t3_form(2), 22)], ids=["t5-lutz", "t3-n1-2"])
+def test_fresh_zero_lambdas_give_the_builtin_floats(form, seed):
+    fresh = with_fresh_zeros(form)
+    for point in random_points(form.dim, 2000, seed):
+        got, expected = pointwise_class(form, point), pointwise_class(fresh, point)
+        assert (got.cls, got.magnitude.hex()) == (expected.cls, expected.magnitude.hex())
+
+
+def test_a_partial_returning_minus_zero_keeps_the_floats():
+    # at th[0] < pi every live side below is -0.0: 0.0 - (-0.0) and -(-0.0) are
+    # +0.0, -0.0 - 0.0 and -0.0 itself are -0.0, and each is dropped as zero
+    neg0 = lambda th: -0.0 if th[0] < math.pi else math.sin(th[0])
+    zero = numeric._zero
+    form = numeric.FormFn(
+        3, "signed-zeros",
+        (lambda th: math.cos(th[1]), neg0, lambda th: math.sin(th[0])),
+        ((zero, neg0, zero), (zero, zero, lambda th: math.cos(th[2])), (neg0, neg0, zero)),
+    )
+    fresh = with_fresh_zeros(form)
+    for point in random_points(3, 500, 23):
+        live = numeric._alpha_dalpha(form, point)
+        every = numeric._alpha_dalpha(fresh, point)
+        for got, expected in zip(live, every):
+            assert [(m, v.hex()) for m, v in got.items()] == [(m, v.hex()) for m, v in expected.items()]
+        got, expected = pointwise_class(form, point), pointwise_class(fresh, point)
+        assert (got.cls, got.magnitude.hex()) == (expected.cls, expected.magnitude.hex())
+        assert (got.cls, got.magnitude) == reference_pointwise_class(form, point)
+
+
 # -- the public constructor and the budget ---------------------------------------------
 
 
