@@ -3,7 +3,7 @@
 Exit status: 0 when no asserted claim is refuted (reported-only discrepancies
 with quoted constants are flagged but do not fail the run), 1 when a claim is
 refuted or an internal self-check fails, 2 on usage errors, 3 when the
-symbolic term budget is exceeded.
+symbolic term budget is exceeded or memory runs out.
 """
 
 from __future__ import annotations
@@ -125,9 +125,11 @@ def _class_survey(args, frame) -> VerifyReport:
 def _scan(args, frame) -> VerifyReport:
     if args.form not in BUILTIN_FORMS:
         raise ParameterError(f"unknown built-in form {args.form!r}")
+    if args.form != "t3" and args.n1 is not None:
+        raise ParameterError(f"--n1 applies to --form t3 only, not to {args.form}")
     if args.form == "t3" and args.n1 == 0:
         raise ParameterError("--n1 0 makes t3 the closed form d theta2 (class 1), not a contact form")
-    form = t3_form(args.n1) if args.form == "t3" else BUILTIN_FORMS[args.form]()
+    form = t3_form(1 if args.n1 is None else args.n1) if args.form == "t3" else BUILTIN_FORMS[args.form]()
     rep = VerifyReport(
         "scan",
         {
@@ -239,13 +241,13 @@ SUITES: dict[str, Suite] = {
         _scan, "pointwise class scan of a built-in torus form", None,
         (
             _arg("--form", required=True, choices=sorted(BUILTIN_FORMS)),
-            _arg("--n1", type=int, default=1),
+            _arg("--n1", type=int, help="winding number of t3 (default 1)"),
             _arg("--points", type=positive_int, default=1000),
             _SEED,
             _arg("--tol", type=positive_float, default=1e-9),
         ),
         in_all=({"form": "t3", "n1": 1, "points": 500, "tol": 1e-9},
-                {"form": "t5-lutz", "n1": 1, "points": 500, "tol": 1e-9})),
+                {"form": "t5-lutz", "n1": None, "points": 500, "tol": 1e-9})),
     "all": Suite(None, "run every suite for one p", (1, 2, 3), (_samples(20), _SEED), in_all=()),
 }
 
@@ -315,6 +317,9 @@ def main(argv=None) -> int:
         return 0 if ok else 1
     except TermLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory {exc}".rstrip(), file=sys.stderr)
         return 3
     except (ParameterError, InvalidAlgebraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

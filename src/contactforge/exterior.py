@@ -27,8 +27,9 @@ same float operations in the same order.
 
 When every coefficient of both factors is a constant Poly, as in the powers
 (d omega)^k of the contact identity and in pointwise classes, `wedge` runs
-the kernel on the int/Fraction scalars instead and wraps each nonzero sum
-once with Poly.const; any other product runs on the Poly coefficients.
+the kernel on the int/Fraction scalars instead and wraps each distinct
+nonzero sum once with Poly.const; any other product runs on the Poly
+coefficients.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from fractions import Fraction
 
 from . import config
 from .errors import DegreeError, DimensionError, TermLimitError
-from .polyring import Poly, Scalar, TermView, Var, minor, row_major_vars
+from .polyring import Poly, Scalar, TermView, Var, minor_table, row_major_vars, sum_of_products
 
 
 def _above_parity(mask: int) -> int:
@@ -339,12 +340,7 @@ class VField:
 
     def apply(self, p: Poly) -> Poly:
         """Directional derivative X(p) = sum_v X^v dp/dv."""
-        out = Poly.zero(self.size)
-        for var, coeff in self.coeffs.items():
-            d = p.diff(var)
-            if not d.is_zero:
-                out = out + coeff * d
-        return out
+        return p.directional(self.coeffs)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -366,7 +362,9 @@ def wedge(f: Form, g: Form) -> Form:
     sf, sg = _scalars(f._terms), _scalars(g._terms)
     if sf is not None and sg is not None:
         out = _wedge_masks(sf, sg, config.get_max_terms())
-        return Form._trusted(size, degree, {m: Poly.const(size, c) for m, c in out.items() if c})
+        # Polys are immutable, so equal coefficients share one constant
+        consts = {c: Poly.const(size, c) for c in set(out.values()) if c}
+        return Form._trusted(size, degree, {m: consts[c] for m, c in out.items() if c})
     out = _wedge_masks(f._terms, g._terms, config.get_max_terms())
     return Form._trusted(size, degree, {m: c for m, c in out.items() if not c.is_zero})
 
@@ -458,9 +456,9 @@ def covector_transport(a: list[list[Poly]], side: str, base: Form) -> Form:
     for (var,), coeff in base.terms.items():
         if not coeff.is_constant:
             raise ValueError("transport expects constant coefficients (a covector at the identity)")
-        coeffs[var] = coeff.constant_value()
+        coeffs[var] = coeff
     # the adjugate is adj[i][j] = (-1)^(i+j) minor(a, j, i); its sign goes on the scalar
-    minors = {(i, j): minor(a, i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+    minors = minor_table(a)
     bits = _bits(size)
     out: dict[int, Poly] = {}
     for r in range(1, n + 1):
@@ -469,10 +467,8 @@ def covector_transport(a: list[list[Poly]], side: str, base: Form) -> Form:
                 pairs = ((minors[r, i], i + r, (i, c)) for i in range(1, n + 1))
             else:  # base(w a^-1): da[r,c] gets sum_j base[r,j] * adj[c][j]
                 pairs = ((minors[j, c], c + j, (r, j)) for j in range(1, n + 1))
-            acc = Poly.zero(size)
-            for entry, parity, var in pairs:
-                if coeffs.get(var):
-                    acc = acc + entry * (-coeffs[var] if parity % 2 else coeffs[var])
+            acc = sum_of_products(size, [(-1 if parity % 2 else 1, entry, coeffs[var])
+                                         for entry, parity, var in pairs if var in coeffs])
             if not acc.is_zero:
                 out[bits[(r, c)]] = acc
     return Form._trusted(size, 1, out)

@@ -243,6 +243,9 @@ def random_points(dim: int, count: int, seed: int):
         yield tuple(rng.random() * TWO_PI for _ in range(dim))
 
 
+SUBMAXIMAL_KEPT = 20  # submaximal points a ScanReport lists
+
+
 @dataclass
 class ScanReport:
     form: str
@@ -255,21 +258,34 @@ class ScanReport:
 
 
 def contact_scan(f: FormFn, points, tol: float = 1e-9) -> ScanReport:
-    """Class statistics over a point set; points is an iterable of chart points."""
-    reports = [pointwise_class(f, pt, tol) for pt in points]
-    if not reports:
+    """Class statistics over a point set; points is an iterable of chart points.
+
+    Memory stays constant in the number of points: the scan keeps running
+    extremes and the first SUBMAXIMAL_KEPT (index, point) pairs of each
+    class. The first SUBMAXIMAL_KEPT points below the maximum class, in input
+    order, are among those of their own class.
+    """
+    n_points = 0
+    first: dict[int, list] = {}
+    for n_points, pt in enumerate(points, 1):
+        r = pointwise_class(f, pt, tol)
+        if n_points == 1 or r.magnitude < min_mag:
+            min_mag = r.magnitude
+        kept = first.setdefault(r.cls, [])
+        if len(kept) < SUBMAXIMAL_KEPT:
+            kept.append((n_points, r.point))
+    if not n_points:
         raise ParameterError("empty point set")
-    classes = [r.cls for r in reports]
-    max_cls = max(classes)
-    submax = [r.point for r in reports if r.cls < max_cls][:20]
+    max_cls = max(first)
+    submax = sorted(pair for cls, kept in first.items() if cls < max_cls for pair in kept)
     return ScanReport(
         form=f.name,
-        n_points=len(reports),
+        n_points=n_points,
         tol=tol,
-        min_class=min(classes),
+        min_class=min(first),
         max_class=max_cls,
-        min_magnitude=min(r.magnitude for r in reports),
-        submaximal_points=submax,
+        min_magnitude=min_mag,
+        submaximal_points=[pt for _, pt in submax[:SUBMAXIMAL_KEPT]],
     )
 
 

@@ -111,6 +111,30 @@ def _scaled(terms: dict, k: int) -> dict:
     return terms if k == 1 else {m: c * k for m, c in terms.items()}
 
 
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise TermLimitError(f"polynomial product of degree {degree} exceeds {MAX_DEGREE}")
+
+
+def _check_budget(count: int, limit: int) -> None:
+    if count > limit:
+        raise TermLimitError(f"polynomial product reached {count} terms (budget {limit})")
+
+
+def _add_product(out: dict, f, g, scale: int) -> None:
+    """Add scale * f * g into out; f and g are sized collections of
+    (packed monomial, int) pairs. Zero sums stay in out for the caller to drop."""
+    if len(f) > len(g):
+        f, g = g, f
+    get = out.get
+    row = g if len(f) == 1 else list(g)  # a list is faster to re-iterate, slower to make
+    for m1, c1 in f:
+        c1 *= scale
+        for m2, c2 in row:
+            key = m1 + m2
+            out[key] = get(key, 0) + c1 * c2
+
+
 def _poly(size: int, terms: dict, den: int = 1) -> "Poly":
     """{packed monomial: nonzero int} over den > 0, with the common factor cancelled."""
     if den != 1:
@@ -315,14 +339,11 @@ class Poly:
         if not small:
             return Poly.zero(self.size)
         shift = _layout(self.size).degree_shift
-        degree = (max(small) >> shift) + (max(big) >> shift)
-        if degree > MAX_DEGREE:
-            raise TermLimitError(f"polynomial product of degree {degree} exceeds {MAX_DEGREE}")
+        _check_degree((max(small) >> shift) + (max(big) >> shift))
         limit = config.get_max_terms()
         if len(small) == 1:
             # one term shifts the other factor's monomials: none meet, none cancels
-            if len(big) > limit:
-                raise TermLimitError(f"polynomial product reached {len(big)} terms (budget {limit})")
+            _check_budget(len(big), limit)
             [(m1, c1)] = small.items()
             return _poly(self.size, {m1 + m2: c1 * c2 for m2, c2 in big.items()}, self._den * other._den)
         out: dict[int, int] = {}
@@ -336,8 +357,7 @@ class Poly:
                     out[key] = acc
                 else:
                     del out[key]
-            if len(out) > limit:
-                raise TermLimitError(f"polynomial product reached {len(out)} terms (budget {limit})")
+            _check_budget(len(out), limit)
         return _poly(self.size, out, self._den * other._den)
 
     __rmul__ = __mul__
@@ -372,6 +392,35 @@ class Poly:
             if e:
                 out[m - unit] = c * e
         return _poly(self.size, out, self._den)
+
+    def directional(self, field: Mapping[Var, "Poly"]) -> "Poly":
+        """Directional derivative sum_v field[v] * dp/dv, summed in one dict.
+
+        Variables absent from p are skipped, and no Poly is built for a
+        partial. The degree guard and the term budget of a product hold: the
+        budget is checked after each variable's products.
+        """
+        lay = _layout(self.size)
+        used = reduce(or_, self._terms, 0)
+        items = []
+        for var, coeff in field.items():
+            shift = lay.shift.get(var)
+            if shift is None or not (used >> shift) & 0xFF or not coeff._terms:
+                continue
+            self._check_size(coeff)
+            # m -> m - unit is injective, so the partial has no repeated monomial
+            unit = (1 << lay.degree_shift) + (1 << shift)
+            partial = [(m - unit, c * e) for m, c in self._terms.items() if (e := (m >> shift) & 0xFF)]
+            items.append((partial, coeff))
+        common = math.lcm(*(coeff._den for _, coeff in items))
+        shift = lay.degree_shift
+        limit = config.get_max_terms()
+        out: dict[int, int] = {}
+        for partial, coeff in items:
+            _check_degree((max(partial)[0] >> shift) + (max(coeff._terms) >> shift))
+            _add_product(out, partial, coeff._terms.items(), common // coeff._den)
+            _check_budget(len(out), limit)
+        return _poly(self.size, {m: c for m, c in out.items() if c}, self._den * common)
 
     def evaluate(self, assignment: dict[Var, Fraction]) -> Fraction:
         """Exact value at a rational point; every occurring variable must be assigned."""
@@ -427,28 +476,54 @@ def symbolic_matrix(size: int) -> list[list[Poly]]:
     ]
 
 
+def sum_of_products(size: int, items) -> Poly:
+    """sum s * f * g over (int s, Poly f, Poly g), summed in one {packed monomial: int} dict.
+
+    Every product is put over one lcm of the denominators, and zero sums are
+    dropped once, at the end. The degree guard runs before each product and
+    the term budget is checked against the accumulator after it.
+    """
+    items = [(s, f, g) for s, f, g in items if s and f._terms and g._terms]
+    if any(f.size != size or g.size != size for _, f, g in items):
+        raise DimensionError(f"a factor does not live over ambient size {size}")
+    common = math.lcm(*(f._den * g._den for _, f, g in items))
+    shift = _layout(size).degree_shift
+    limit = config.get_max_terms()
+    out: dict[int, int] = {}
+    for s, f, g in items:
+        _check_degree((max(f._terms) >> shift) + (max(g._terms) >> shift))
+        _add_product(out, f._terms.items(), g._terms.items(), s * (common // (f._den * g._den)))
+        _check_budget(len(out), limit)
+    return _poly(size, {m: c for m, c in out.items() if c}, common)
+
+
 def _cofactor_det(mat: list[list[Poly]], rows: tuple[int, ...], cols: tuple[int, ...],
                   memo: dict) -> Poly:
     key = (rows, cols)
     cached = memo.get(key)
     if cached is not None:
         return cached
-    size = mat[0][0].size
     if len(rows) == 1:
         result = mat[rows[0]][cols[0]]
     else:
-        result = Poly.zero(size)
-        r0 = rows[0]
-        rest_rows = rows[1:]
-        for idx, c in enumerate(cols):
-            entry = mat[r0][c]
-            if entry.is_zero:
-                continue
-            sub = _cofactor_det(mat, rest_rows, cols[:idx] + cols[idx + 1:], memo)
-            term = entry * sub
-            result = result + term if idx % 2 == 0 else result - term
+        r0, rest = rows[0], rows[1:]
+        result = sum_of_products(mat[0][0].size, [
+            (-1 if idx % 2 else 1, mat[r0][c], _cofactor_det(mat, rest, cols[:idx] + cols[idx + 1:], memo))
+            for idx, c in enumerate(cols) if not mat[r0][c].is_zero
+        ])
     memo[key] = result
     return result
+
+
+def _square_size(mat: list[list[Poly]]) -> int:
+    """The ambient size of a non-empty square Poly matrix; DimensionError otherwise."""
+    n = len(mat)
+    if n == 0 or any(len(row) != n for row in mat):
+        raise DimensionError("determinant requires a non-empty square matrix")
+    size = mat[0][0].size
+    if any(entry.size != size for row in mat for entry in row):
+        raise DimensionError("matrix entries live over different ambient sizes")
+    return size
 
 
 def determinant(mat: list[list[Poly]]) -> Poly:
@@ -456,14 +531,10 @@ def determinant(mat: list[list[Poly]]) -> Poly:
 
     Constant matrices go through linalg.det (fraction-free elimination); symbolic
     matrices use cofactor expansion with memoized minors (sizes in scope stay
-    at or below 6).
+    at or below 8).
     """
     n = len(mat)
-    if n == 0 or any(len(row) != n for row in mat):
-        raise DimensionError("determinant requires a non-empty square matrix")
-    size = mat[0][0].size
-    if any(entry.size != size for row in mat for entry in row):
-        raise DimensionError("matrix entries live over different ambient sizes")
+    size = _square_size(mat)
     if all(entry.is_constant for row in mat for entry in row):
         value = linalg.det([[e.constant_term() for e in row] for row in mat])
         return Poly.const(size, value)
@@ -486,6 +557,24 @@ def minor(mat: list[list[Poly]], i: int, j: int) -> Poly:
         for r in range(n) if r != i - 1
     ]
     return determinant(sub)
+
+
+def minor_table(mat: list[list[Poly]]) -> dict[Var, Poly]:
+    """Every unsigned minor {(i, j): minor(mat, i, j)} (1-based), from one cofactor memo.
+
+    The minors deleting different rows share the sub-determinants on the
+    rows below both.
+    """
+    n = len(mat)
+    size = _square_size(mat)
+    if n == 1:
+        return {(1, 1): Poly.const(size, 1)}
+    memo: dict = {}
+    idx = tuple(range(n))
+    return {
+        (i + 1, j + 1): _cofactor_det(mat, idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:], memo)
+        for i in range(n) for j in range(n)
+    }
 
 
 def divmod_principal(p: Poly, f: Poly) -> tuple[Poly, Poly]:

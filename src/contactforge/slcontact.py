@@ -32,9 +32,10 @@ from .polyring import (
     Var,
     determinant,
     divmod_principal,
-    minor,
+    minor_table,
     reduce_mod_principal,
     row_major_vars,
+    sum_of_products,
     symbolic_matrix,
 )
 from .report import CONFIRMED, REFUTED, REPORTED_ONLY, VerifyReport
@@ -80,10 +81,14 @@ class SLFrame:
     def column_inner(self, i: int, j: int) -> Poly:
         """<C_i, C_j> = sum_r a[r,i] a[r,j]."""
         n = self.size
-        acc = Poly.zero(n)
-        for r in range(1, n + 1):
-            acc = acc + Poly.variable(n, r, i) * Poly.variable(n, r, j)
-        return acc
+        return sum_of_products(n, [(1, Poly.variable(n, r, i), Poly.variable(n, r, j))
+                                   for r in range(1, n + 1)])
+
+
+def _tangent(grad: dict[Var, Poly], fld: VField) -> bool:
+    """fld(det) = 0, read as the contraction sum_v fld^v grad[v] with grad the
+    coefficients of d(det)."""
+    return sum_of_products(fld.size, [(1, c, grad[v]) for v, c in fld.coeffs.items()]).is_zero
 
 
 def build_frame(p: int) -> SLFrame:
@@ -93,16 +98,16 @@ def build_frame(p: int) -> SLFrame:
     last column), Y is the row-wise mirror, alpha[k,l] = sum_i (-1)^(i+k)
     A[i,k] da[i,l] with A the unsigned minors, and omega pairs consecutive
     columns. Tangency X(det) = Y(det) = 0 and commutation [X, Y_diag] = 0 are
-    verified on the spot.
+    verified on the spot. Tangency is read by contraction, X(det) =
+    sum_v X^v d(det)[v], once d(det) has been matched against the cofactor
+    lemma.
     """
     if p < 1:
         raise ParameterError("p must be >= 1")
     n = 2 * p
     mat = symbolic_matrix(n)
     delta = determinant(mat)
-    minors = {
-        (i, j): minor(mat, i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-    }
+    minors = minor_table(mat)
     a = lambda i, j: Poly.variable(n, i, j)
 
     x_fields: dict[FrameIndex, VField] = {}
@@ -151,11 +156,12 @@ def build_frame(p: int) -> SLFrame:
     if d_delta != lemma_form:
         raise InternalCheckError("d(det) does not match the signed-cofactor expansion")
 
+    grad = {var: d_delta.coefficient((var,)) for var in row_major_vars(n)}
     for kl, x in x_fields.items():
-        if not x.apply(delta).is_zero:
+        if not _tangent(grad, x):
             raise InternalCheckError(f"X{kl} is not tangent to the det = 1 level set")
     for kl, y in y_fields.items():
-        if not y.apply(delta).is_zero:
+        if not _tangent(grad, y):
             raise InternalCheckError(f"Y{kl} is not tangent to the det = 1 level set")
     # the row-wise diagonal fields are only pinned down by commutation
     for k in range(1, n):
@@ -463,14 +469,15 @@ def structural_checks(p: int, frame: SLFrame | None = None) -> VerifyReport:
 
 
 def _cayley(s: linalg.Mat) -> linalg.Mat | None:
+    """(I - S)(I + S)^-1 as (I - S) adj(I + S) / det(I + S); None at a pole."""
     n = len(s)
     eye = linalg.identity(n)
     plus = [[eye[i][j] + s[i][j] for j in range(n)] for i in range(n)]
     minus = [[eye[i][j] - s[i][j] for j in range(n)] for i in range(n)]
-    inv = linalg.inverse(plus)
-    if inv is None:
+    d, adj = linalg.det_adj(plus)
+    if adj is None:
         return None
-    return linalg.mat_mul(minus, inv)
+    return [[x / d for x in row] for row in linalg.mat_mul(minus, adj)]
 
 
 def j_matrix(p: int) -> linalg.Mat:
@@ -483,12 +490,33 @@ def j_matrix(p: int) -> linalg.Mat:
     return m
 
 
+# J is a signed permutation: it swaps the two indices of each pair (2b, 2b+1),
+# 0-based, and negates one of them, so products with J or J^T only move and
+# negate entries.
+
+
+def _j_times(m: linalg.Mat) -> linalg.Mat:
+    """J M: row 2b is row 2b+1 of M, row 2b+1 is minus row 2b."""
+    return [m[r ^ 1] if r % 2 == 0 else [-x for x in m[r ^ 1]] for r in range(len(m))]
+
+
+def _jt_times(m: linalg.Mat) -> linalg.Mat:
+    """J^T M = -J M: row 2b is minus row 2b+1 of M, row 2b+1 is row 2b."""
+    return [m[r ^ 1] if r % 2 else [-x for x in m[r ^ 1]] for r in range(len(m))]
+
+
+def _times_jt(m: linalg.Mat) -> linalg.Mat:
+    """M J^T: column 2b is column 2b+1 of M, column 2b+1 is minus column 2b."""
+    return [[row[c ^ 1] if c % 2 == 0 else -row[c ^ 1] for c in range(len(row))] for row in m]
+
+
 def is_orthogonal(a: linalg.Mat) -> bool:
     return linalg.mat_mul(linalg.transpose(a), a) == linalg.identity(len(a))
 
 
 def preserves_j(a: linalg.Mat, jm: linalg.Mat) -> bool:
-    return linalg.mat_mul(linalg.mat_mul(linalg.transpose(a), jm), a) == jm
+    """tA J A == jm, with jm = j_matrix(len(a) // 2) applied as a signed permutation."""
+    return linalg.mat_mul(linalg.transpose(a), _j_times(a)) == jm
 
 
 def h_matrix_basis(p: int) -> list[linalg.Mat]:
@@ -641,13 +669,16 @@ def locus_values(a: linalg.Mat, side: str) -> list[Fraction]:
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    _, adj = linalg.det_adj(a)
+    return _locus_values(a, linalg.det_adj(a)[1], side)
+
+
+def _locus_values(a: linalg.Mat, adj: linalg.Mat | None, side: str) -> list[Fraction]:
+    """locus_values from an adjugate of a already at hand (None: a is singular)."""
     if adj is None:
         raise ParameterError("locus values need an invertible point")
-    b = linalg.transpose(j_matrix(len(a) // 2))
     adj_t = linalg.transpose(adj)
-    moved = linalg.mat_mul(adj_t, b) if side == "left" else linalg.mat_mul(b, adj_t)
-    here = linalg.mat_mul(a, b)
+    moved = _times_jt(adj_t) if side == "left" else _jt_times(adj_t)
+    here = _times_jt(a)
     return [x - y for row_m, row_h in zip(moved, here) for x, y in zip(row_m, row_h)]
 
 
@@ -681,10 +712,11 @@ def invariance_loci(
     so_failures = []
     for k in range(samples):
         a = sample_group_point("SO", n, _mix_seed(seed, k))
-        if not is_orthogonal(a) or linalg.det(a) != 1:
+        d, adj = linalg.det_adj(a)
+        if not is_orthogonal(a) or d != 1:
             so_failures.append((k, "sampler produced a non-SO point"))
             continue
-        if any(locus_values(a, "left")):
+        if any(_locus_values(a, adj, "left")):
             so_failures.append((k, "left equations do not vanish"))
     rep.check(
         f"left locus holds at {samples} sampled SO({n}) points",
@@ -709,10 +741,11 @@ def invariance_loci(
     h_failures = []
     for k in range(samples):
         a = sample_group_point("H", p, _mix_seed(seed, k))
-        if not preserves_j(a, jm) or linalg.det(a) != 1:
+        d, adj = linalg.det_adj(a)
+        if not preserves_j(a, jm) or d != 1:
             h_failures.append((k, "sampler produced a point outside H"))
             continue
-        if any(locus_values(a, "right")):
+        if any(_locus_values(a, adj, "right")):
             h_failures.append((k, "right equations do not vanish"))
     rep.check(
         f"right locus holds at {samples} sampled H points",

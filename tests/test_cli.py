@@ -128,6 +128,26 @@ def test_scan_t3_with_n1_0_exits_2_naming_the_option(capsys):
     assert err.startswith("error: --n1 0") and "Traceback" not in err
 
 
+def test_scan_n1_with_t5_lutz_exits_2_naming_the_option(tmp_path, capsys):
+    assert run(["scan", "--form", "t5-lutz", "--n1", "7", "--points", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --n1 applies to --form t3 only") and "t5-lutz" in err
+    assert "Traceback" not in err
+    out = tmp_path / "t3.json"
+    assert run(["scan", "--form", "t3", "--points", "5", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["params"]["form"] == "t3(n1=1)"
+
+
+def test_out_of_memory_exits_3_with_an_error_line(monkeypatch, capsys):
+    def exhausted(p):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "h_algebra", exhausted)
+    assert run(["h-algebra", "--p", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: out of memory\n"
+
+
 def test_invariance_cli():
     assert run(["invariance", "--p", "1", "--samples", "5", "--seed", "0"]) == 0
 

@@ -7,10 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from contactforge import numeric
 from contactforge.errors import ParameterError
 from contactforge.exterior import class_at_point, Form
 from contactforge.numeric import (
     FormFn,
+    PointClassReport,
+    ScanReport,
     contact_scan,
     grid_points,
     pointwise_class,
@@ -65,6 +68,37 @@ def test_bad_tolerance_raises():
             contact_scan(t3_form(1), random_points(3, 5, seed=0), tol)
         with pytest.raises(ParameterError, match="finite and positive"):
             singular_scan(t5_lutz_form(), (4, 5), random_points(5, 5, seed=0), tol=tol)
+
+
+def list_scan(f, points, tol=1e-9):
+    """contact_scan as a list of every point's report, kept for comparison."""
+    reports = [numeric.pointwise_class(f, pt, tol) for pt in points]
+    if not reports:
+        raise ParameterError("empty point set")
+    classes = [r.cls for r in reports]
+    max_cls = max(classes)
+    submax = [r.point for r in reports if r.cls < max_cls][:20]
+    return ScanReport(f.name, len(reports), tol, min(classes), max_cls,
+                      min(r.magnitude for r in reports), submax)
+
+
+def test_contact_scan_matches_the_list_version(monkeypatch):
+    def three_classes(f, point, tol=1e-9):
+        point = tuple(point)
+        return PointClassReport(point, 1 + int(point[0] * 7) % 3, point[1], tol)
+
+    monkeypatch.setattr(numeric, "pointwise_class", three_classes)
+    f = t3_form(1)
+    for seed in range(5):
+        pts = list(random_points(3, 300, seed))
+        expected = list_scan(f, pts)
+        assert {1, 2, 3} == {three_classes(f, pt).cls for pt in pts}
+        assert sum(three_classes(f, pt).cls < 3 for pt in pts) > 20
+        assert contact_scan(f, (pt for pt in pts)) == expected
+        assert contact_scan(f, pts[:7]) == list_scan(f, pts[:7])
+    for empty in ([], (pt for pt in ())):
+        with pytest.raises(ParameterError, match="empty point set"):
+            contact_scan(f, empty)
 
 
 def test_t3_grid_scan():

@@ -17,7 +17,9 @@ from contactforge.polyring import (
     divmod_principal,
     exact_divide,
     minor,
+    minor_table,
     reduce_mod_principal,
+    sum_of_products,
     symbolic_matrix,
 )
 from contactforge.slcontact import matrix_point, sample_group_point
@@ -493,3 +495,108 @@ def test_a_foreign_operand_falls_back_or_raises_type_error():
         x - dx
     with pytest.raises(TypeError):
         x * "a"
+
+
+# -- one accumulator, the one-pass directional derivative, one minor table ------
+
+
+def pairwise_sum(size, items):
+    """sum_of_products as the loop it replaces: one Poly per product and per sum."""
+    acc = Poly.zero(size)
+    for s, f, g in items:
+        acc = acc + s * f * g
+    return acc
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_sum_of_products_matches_the_pairwise_loop(size):
+    rng = random.Random(160 + size)
+    x = Poly.variable(size, 1, size)
+    for trial in range(40):
+        items = []
+        for _ in range(rng.randint(0, 5)):
+            f = Poly(size, random_terms(rng, size, rng.randint(1, 6)))
+            g = [x * x, Poly.const(size, rng.choice((-3, 2, 7))),
+                 x * Fraction(rng.randint(1, 5), rng.choice((2, 9))),
+                 Poly(size, random_terms(rng, size, rng.randint(1, 6)))][rng.randrange(4)]
+            items.append((rng.choice((-2, -1, 0, 1, 3)), f, g))
+        result = sum_of_products(size, items)
+        assert result == pairwise_sum(size, items)
+        reference = {}
+        for s, f, g in items:
+            reference = ref_add(reference, ref_scale(ref_mul(f.terms, g.terms), s))
+        assert result.terms == reference
+        assert_int_exactly_when_integral(result)
+
+
+def test_sum_of_products_drops_a_full_cancellation():
+    p = a(1, 1) * Fraction(2, 3) + a(2, 2)
+    q = a(1, 2) - Fraction(1, 5)
+    for items in ([(1, p, q), (-1, q, p)], [(2, p, q), (-1, p, q * 2)], [], [(0, p, q)],
+                  [(3, p, Poly.zero(2))]):
+        result = sum_of_products(2, items)
+        assert result.is_zero and result == Poly.zero(2) and result._den == 1
+
+
+def test_sum_of_products_keeps_the_budget_and_degree_checks(monkeypatch):
+    x, y = a(1, 1), a(2, 2)
+    big = Poly(2, {((1, 2, e), (2, 1, 1)): e for e in range(1, 6)})
+    monkeypatch.setattr(config, "get_max_terms", lambda: 10)
+    assert len(sum_of_products(2, [(1, x, big), (1, y, big)]).terms) == 10
+    with pytest.raises(TermLimitError, match="reached 15 terms \\(budget 10\\)"):
+        sum_of_products(2, [(1, x, big), (1, y, big), (1, x * y, big)])
+    with pytest.raises(TermLimitError, match="degree 128 exceeds 127"):
+        sum_of_products(2, [(1, x, big), (1, x ** 117, a(1, 2) ** 10 * a(2, 1))])
+    with pytest.raises(DimensionError):
+        sum_of_products(3, [(1, x, big)])
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_directional_matches_the_sum_of_partials(size):
+    rng = random.Random(170 + size)
+    for trial in range(40):
+        p = Poly(size, random_terms(rng, size, rng.randint(0, 8)))
+        field = {}
+        for _ in range(rng.randint(0, 5)):
+            var = (rng.randint(1, size), rng.randint(1, size))
+            field[var] = Poly(size, random_terms(rng, size, rng.randint(0, 4)))
+        expected = Poly.zero(size)
+        for var, coeff in field.items():
+            expected = expected + coeff * p.diff(var)
+        result = p.directional(field)
+        assert result == expected
+        reference = {}
+        for var, coeff in field.items():
+            reference = ref_add(reference, ref_mul(coeff.terms, ref_diff(p.terms, var)))
+        assert result.terms == reference
+        assert_int_exactly_when_integral(result)
+
+
+def test_directional_skips_absent_variables_and_keeps_its_guards(monkeypatch):
+    x, y = a(1, 1), a(2, 2)
+    p = x * x * Fraction(3, 4) + a(1, 2)
+    assert p.directional({}) == Poly.zero(2)
+    assert p.directional({(2, 1): x, (2, 2): y, (3, 1): x}) == Poly.zero(2)  # absent or outside
+    assert p.directional({(1, 1): y * Fraction(2, 7), (2, 2): x}) == x * y * Fraction(3, 7)
+    assert p.directional({(1, 1): Poly.zero(2), (1, 2): Poly.const(2, 5)}) == Poly.const(2, 5)
+    with pytest.raises(TermLimitError, match="degree 128 exceeds 127"):
+        (x ** 118).directional({(1, 1): y ** 11})
+    wide = Poly(2, {((1, 1, 1), (1, 2, e)): 1 for e in range(1, 12)})
+    monkeypatch.setattr(config, "get_max_terms", lambda: 10)
+    with pytest.raises(TermLimitError, match="reached 11 terms"):
+        wide.directional({(1, 1): Poly.const(2, 1)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_minor_table_matches_minor_entrywise(n):
+    rng = random.Random(180 + n)
+    constant = [[Poly.const(n, Fraction(rng.randint(-4, 4), rng.choice((1, 3)))) for _ in range(n)]
+                for _ in range(n)]
+    mixed = [[rand_poly(rng, n, max_terms=2) for _ in range(n)] for _ in range(n)]
+    for mat in (symbolic_matrix(n), constant, mixed):
+        table = minor_table(mat)
+        assert list(table) == [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        for (i, j), entry in table.items():
+            assert entry == minor(mat, i, j)
+    with pytest.raises(DimensionError):
+        minor_table([[a(1, 1), a(1, 2)]])

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from contactforge import linalg
-from contactforge.errors import ParameterError
-from contactforge.exterior import Form, ext_d, interior_product, wedge
+from contactforge import linalg, slcontact
+from contactforge.errors import InternalCheckError, ParameterError
+from contactforge.exterior import Form, VField, ext_d, interior_product, wedge
 from contactforge.polyring import Poly, reduce_mod_principal, row_major_vars
 from contactforge.report import CONFIRMED, REPORTED_ONLY
 from contactforge.slcontact import (
@@ -57,6 +57,30 @@ def test_omega_p1_display(frame_p1):
 def test_all_frame_fields_annihilate_delta(frame_p2):
     for fld in list(frame_p2.X.values()) + list(frame_p2.Y.values()):
         assert fld.apply(frame_p2.delta).is_zero
+
+
+def test_tangency_by_contraction_refuses_a_non_tangent_field(frame_p2):
+    grad = {v: frame_p2.d_delta.coefficient((v,)) for v in row_major_vars(4)}
+    for fld in [*frame_p2.X.values(), *frame_p2.Y.values()]:
+        assert slcontact._tangent(grad, fld)
+    d11 = VField(4, {(1, 1): Poly.const(4, 1)})  # d/da[1,1]: d11(det) is the (1,1) cofactor
+    assert not d11.apply(frame_p2.delta).is_zero
+    assert not slcontact._tangent(grad, d11)
+    assert not slcontact._tangent(grad, frame_p2.X[(1, 2)] + d11)
+
+
+def test_build_frame_refuses_a_field_that_is_not_tangent(monkeypatch):
+    made = []
+
+    def skewed(size, coeffs):
+        if not made:  # the first field built is X(1,1)
+            coeffs = {**coeffs, (1, 1): coeffs[(1, 1)] + Poly.const(size, 1)}
+        made.append(coeffs)
+        return VField(size, coeffs)
+
+    monkeypatch.setattr(slcontact, "VField", skewed)
+    with pytest.raises(InternalCheckError, match=r"X\(1, 1\) is not tangent"):
+        build_frame(1)
 
 
 def test_frame_counts(frame_p2):

@@ -499,3 +499,24 @@ def test_wedge_power_equals_the_k_fold_wedge(p, request):
     for k in range(1, 5):
         assert wedge_power(d_omega, k).terms == expected
         expected = reference_wedge(d_omega.terms, expected)
+
+
+def test_a_scalar_wedge_shares_one_constant_per_value():
+    # constant factors with several distinct values, some Fractions, so that
+    # sums repeat and cancel
+    rng = random.Random(16)
+    for _ in range(60):
+        size = rng.randint(2, 3)
+        f, g = (cancelling_form(rng, size, rng.randint(1, 3), constant_pool) * Fraction(1, 3)
+                for _ in range(2))
+        product = wedge(f, g)
+        sums = _wedge_masks({m: c.constant_term() for m, c in f._terms.items()},
+                            {m: c.constant_term() for m, c in g._terms.items()})
+        assert product._terms == {m: Poly.const(size, c) for m, c in sums.items() if c}
+        values = {c.constant_term() for c in product._terms.values()}
+        assert len({id(c) for c in product._terms.values()}) == len(values)
+    d_omega = ext_d(Form(4, 1, {((1, 2),): Poly.variable(4, 1, 1), ((3, 4),): Poly.variable(4, 3, 3),
+                                ((2, 1),): Poly.variable(4, 2, 2)}))
+    power = wedge_power(d_omega, 2)
+    assert power.terms == reference_wedge(d_omega.terms, d_omega.terms)
+    assert len({id(c) for c in power._terms.values()}) == 2  # the values 2 and -2
