@@ -7,6 +7,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+import time
 import types
 
 import pytest
@@ -99,6 +100,30 @@ def test_cartan_class_from_file(tmp_path):
     alg = tmp_path / "cyclic.alg"
     alg.write_text("dim 3\n1 2 3 1\n1 3 2 -1\n2 3 1 1\n")
     assert run(["cartan-class", "--algebra", f"file:{alg}", "--form", "1,0,0"]) == 0
+
+
+@pytest.mark.parametrize("kind, n, generic", [("sl", 5, 21), ("so", 8, 25)], ids=["sl5", "so8"])
+def test_cartan_class_past_the_divided_power_wall(kind, n, generic, tmp_path):
+    """Both class routes agree on sl(5) and so(8) in a child process within seconds.
+
+    The full divided-power chain needed about 2^(dim-1) Pfaffians here
+    (dim 24 and 28); the bordered elimination is polynomial in dim.
+    """
+    out = tmp_path / "c.json"
+    src = pathlib.Path(__file__).parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "contactforge.cli", "cartan-class", "--algebra", kind,
+         "--n", str(n), "--json", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 0, proc.stderr
+    claims = {c["anchor"]: c for c in json.loads(out.read_text())["claims"]}
+    agree = claims["matrix-rank route agrees with the wedge route"]
+    assert agree["verdict"] == "confirmed" and agree["computed"] == agree["reference"] == generic
 
 
 def test_class_survey_cli(tmp_path):

@@ -224,6 +224,56 @@ def _plain_wedge(f, g):
     return {m: c for m, c in out.items() if c}
 
 
+def _pairs_below(form, dim):
+    """below[t] lists (mask, high bit, coeff) of the terms of a 2-form whose low index is < t."""
+    by_low = [[] for _ in range(dim)]
+    for mask, c in form.items():
+        low = mask & -mask
+        by_low[low.bit_length() - 1].append((mask, mask ^ low, c))
+    below = [[]]
+    for pairs in by_low:
+        below.append(below[-1] + pairs)
+    return below
+
+
+def _next_divided_power(power, below):
+    """omega^[k+1] from omega^[k] = omega^k / k!, the definitional reference chain.
+
+    The coefficient of e_S in omega^[k] is the Pfaffian of omega on S. A term
+    e_i ^ e_j of omega meets a term e_T of omega^[k] only when i is below every
+    generator of T: the Pfaffian expansion of T + {i, j} along its first
+    index, each perfect matching counted once. Moving e_j into place passes the
+    generators of T below j, which gives the sign.
+    """
+    out = {}
+    for mask, coeff in power.items():
+        for pair, high, c in below[(mask & -mask).bit_length() - 1]:
+            if mask & high:
+                continue
+            value = -c * coeff if (mask & (high - 1)).bit_count() & 1 else c * coeff
+            out[mask | pair] = out.get(mask | pair, 0) + value
+    return {m: c for m, c in out.items() if c}
+
+
+def _divided_powers(form, dim):
+    """[omega^[0], omega^[1], ...] up to the first zero power, exclusive."""
+    below = _pairs_below(form, dim)
+    powers = [{0: 1}, form]
+    while powers[-1]:
+        powers.append(_next_divided_power(powers[-1], below))
+    return powers[:-1]
+
+
+def chain_class(g, alpha):
+    """The class from the full divided-power chain and a plain wedge with alpha."""
+    a_form, d_alpha = liealg._integer_forms(g, alpha)
+    if not a_form:
+        return 0
+    powers = _divided_powers(d_alpha, g.dim)
+    p = len(powers) - 1
+    return 2 * p + 1 if _plain_wedge(a_form, powers[-1]) else 2 * p
+
+
 def test_divided_powers_times_factorial_equal_plain_powers():
     rng = random.Random(41)
     for g in (sl_algebra(4), so_algebra(6)):
@@ -232,15 +282,123 @@ def test_divided_powers_times_factorial_equal_plain_powers():
             tuple(F(rng.randint(-9, 9)) if k in (0, 3, 7, 12) else F(0) for k in range(g.dim)),
         ):
             _, d_alpha = liealg._integer_forms(g, alpha)
-            below = liealg._pairs_below(d_alpha, g.dim)
+            below = _pairs_below(d_alpha, g.dim)
             divided, plain, k = d_alpha, d_alpha, 1
             while plain:
                 assert {m: c * math.factorial(k) for m, c in divided.items()} == plain
-                divided = liealg._next_divided_power(divided, below)
+                divided = _next_divided_power(divided, below)
                 plain = _plain_wedge(plain, d_alpha)
                 k += 1
             assert divided == {}
             assert k > 1
+
+
+def _sparse_covector(g, rng):
+    while True:
+        alpha = tuple(F(rng.randint(-9, 9)) if rng.random() < 0.25 else F(0) for _ in range(g.dim))
+        if any(alpha):
+            return alpha
+
+
+def _sign(seq):
+    """Sign of the permutation that sorts seq."""
+    inversions = sum(a > b for t, a in enumerate(seq) for b in seq[t + 1:])
+    return -1 if inversions & 1 else 1
+
+
+@pytest.mark.parametrize("g", [sl_algebra(3), sl_algebra(4), so_algebra(6)], ids=lambda g: g.label)
+def test_elimination_entries_are_bordered_pfaffians(g):
+    # after t pivots S, entry (k, l) is Pf(S, k, l): the coefficient of
+    # e_{S+{k,l}} in w^[t+1], w = d(alpha) + alpha ^ e_0, signed by the order
+    rng = random.Random(47)
+    checked = 0
+    for alpha in [random_covector(g, rng) for _ in range(3)] + [_sparse_covector(g, rng) for _ in range(3)]:
+        a_form, d_alpha = liealg._integer_forms(g, alpha)
+        border = 1 << g.dim
+        w = {**d_alpha, **{mask | border: c for mask, c in a_form.items()}}
+        powers = _divided_powers(w, g.dim + 1) + [{}]
+        for pivots, m in liealg._pair_elimination(a_form, d_alpha, g.dim):
+            t = len(pivots) // 2
+            assert all(m[pivots[2 * s]][pivots[2 * s + 1]] for s in range(t))
+            rest = [k for k in range(g.dim + 1) if k not in pivots]
+            for a, k in enumerate(rest):
+                for l in rest[a + 1:]:
+                    mask = sum(1 << x for x in (*pivots, k, l))
+                    expected = _sign((*pivots, k, l)) * powers[t + 1].get(mask, 0)
+                    assert m[k][l] == expected == -m[l][k]
+                    checked += 1
+        assert len(powers) - 2 in (t, t + 1)  # w^[t+1] is 0 or holds e_0 only
+    assert checked > 200
+
+
+COVECTOR_ALGEBRAS = [sl_algebra(2), sl_algebra(3), sl_algebra(4), so_algebra(3), so_algebra(5),
+                     so_algebra(6), heisenberg_algebra(7)]
+
+
+@pytest.mark.parametrize("g", COVECTOR_ALGEBRAS, ids=lambda g: g.label)
+def test_routes_agree_with_the_chain_on_dense_sparse_and_rational_covectors(g):
+    rng = random.Random(53 + g.dim)
+    covectors = [random_covector(g, rng) for _ in range(6)]
+    covectors += [_sparse_covector(g, rng) for _ in range(6)]
+    covectors += [tuple(F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(g.dim))
+                  for _ in range(6)]
+    covectors.append(tuple(F(0) for _ in range(g.dim)))
+    for alpha in covectors:
+        assert cartan_class(g, alpha) == cartan_class_wedge(g, alpha) == chain_class(g, alpha)
+
+
+def test_routes_agree_when_d_alpha_is_zero(tmp_path):
+    # alpha kills [g, g]: d(alpha) = 0 and the class is 1
+    g = heisenberg_algebra(7)
+    for alpha in (c(1, 0, 0, 0, 0, 0, 0), c(3, -1, 0, 2, 0, 5, 0)):
+        assert cartan_class(g, alpha) == cartan_class_wedge(g, alpha) == chain_class(g, alpha) == 1
+    path = tmp_path / "abelian.alg"
+    path.write_text("dim 4\n")
+    abelian = build_algebra(f"file:{path}")
+    assert cartan_class(abelian, c(0, 2, 0, -1)) == cartan_class_wedge(abelian, c(0, 2, 0, -1)) == 1
+
+
+def test_wedge_route_calls_no_linalg_function(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the wedge route called linalg")
+
+    public = [name for name, value in vars(linalg).items()
+              if callable(value) and getattr(value, "__module__", None) == linalg.__name__
+              and not name.startswith("_")]
+    assert {"rank", "rref", "det_adj", "mat_mul", "in_row_space"} <= set(public)
+    g, so6 = sl_algebra(4), so_algebra(6)
+    regular = tuple(F(k + 1) if k < 3 else F(0) for k in range(g.dim))
+    dense = random_covector(so6, random.Random(5))
+    expected = cartan_class(so6, dense)
+    for name in public:
+        monkeypatch.setattr(linalg, name, refuse)
+    assert cartan_class_wedge(g, regular) == 13
+    assert cartan_class_wedge(so6, dense) == expected
+    with pytest.raises(AssertionError, match="called linalg"):
+        cartan_class(g, regular)
+
+
+def _commutator_matrix_basis(basis, coords, label):
+    """The structure constants by full commutator matrices, the reference construction."""
+    brackets = {}
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            comm = linalg.mat_sub(linalg.mat_mul(basis[i], basis[j]),
+                                  linalg.mat_mul(basis[j], basis[i]))
+            comp = {k + 1: v for k, v in enumerate(coords(comm)) if v}
+            if comp:
+                brackets[(i + 1, j + 1)] = comp
+    return liealg.LieAlg(len(basis), brackets, label)
+
+
+def test_structure_constants_equal_the_full_commutator_construction(monkeypatch):
+    built = {(kind, n): build_algebra(kind, n)
+             for kind, ns in (("sl", range(2, 6)), ("so", range(3, 8))) for n in ns}
+    monkeypatch.setattr(liealg, "_from_matrix_basis", _commutator_matrix_basis)
+    for (kind, n), g in built.items():
+        ref = build_algebra(kind, n)
+        assert g.brackets == ref.brackets and g.label == ref.label and g.dim == ref.dim
+        assert all(type(v) is F for comp in g.brackets.values() for v in comp.values())
 
 
 def test_routes_agree_on_rational_covectors_and_fractional_constants(tmp_path):
@@ -259,7 +417,7 @@ def test_routes_agree_on_rational_covectors_and_fractional_constants(tmp_path):
     for g in (scaled, sl_algebra(4), so_algebra(5), heisenberg_algebra(7)):
         for _ in range(8):
             alpha = tuple(F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(g.dim))
-            assert cartan_class(g, alpha) == cartan_class_wedge(g, alpha)
+            assert cartan_class(g, alpha) == cartan_class_wedge(g, alpha) == chain_class(g, alpha)
     for _ in range(8):
         # alpha'(e_i') = s_i alpha(e_i) is the same form, so the class is the same
         alpha = tuple(F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(base.dim))
