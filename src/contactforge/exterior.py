@@ -151,6 +151,12 @@ def _accumulate(out: dict, key, value) -> None:
         out[key] = acc
 
 
+def _sums(size: int, products: dict) -> dict[int, Poly]:
+    """{key: [(s, f, g), ...]} -> {key: sum s * f * g}, keeping the nonzero sums."""
+    return {key: acc for key, items in products.items()
+            if not (acc := sum_of_products(size, items)).is_zero}
+
+
 class Form:
     """Exterior form of fixed degree with Poly coefficients, kept as {mask: Poly}."""
 
@@ -404,15 +410,15 @@ def interior_product(x: VField, f: Form) -> Form:
     bits = _bits(f.size)
     along = {bits[var]: c for var, c in x.coeffs.items() if var in bits}
     support = sum(along)
-    out: dict[int, Poly] = {}
+    products: dict[int, list] = {}
     for mask, coeff in f._terms.items():
         hit = mask & support
         while hit:
             bit = hit & -hit
             hit ^= bit
-            prod = coeff * along[bit]
-            _accumulate(out, mask ^ bit, -prod if (mask & (bit - 1)).bit_count() & 1 else prod)
-    return Form._trusted(f.size, f.degree - 1, out)
+            sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
+            products.setdefault(mask ^ bit, []).append((sign, coeff, along[bit]))
+    return Form._trusted(f.size, f.degree - 1, _sums(f.size, products))
 
 
 def lie_derivative(x: VField, f: Form, df: Form | None = None) -> Form:
@@ -460,18 +466,37 @@ def covector_transport(a: list[list[Poly]], side: str, base: Form) -> Form:
     # the adjugate is adj[i][j] = (-1)^(i+j) minor(a, j, i); its sign goes on the scalar
     minors = minor_table(a)
     bits = _bits(size)
-    out: dict[int, Poly] = {}
+    products = {}
     for r in range(1, n + 1):
         for c in range(1, n + 1):
             if side == "left":  # base(a^-1 w): da[r,c] gets sum_i adj[i][r] * base[i,c]
                 pairs = ((minors[r, i], i + r, (i, c)) for i in range(1, n + 1))
             else:  # base(w a^-1): da[r,c] gets sum_j base[r,j] * adj[c][j]
                 pairs = ((minors[j, c], c + j, (r, j)) for j in range(1, n + 1))
-            acc = sum_of_products(size, [(-1 if parity % 2 else 1, entry, coeffs[var])
-                                         for entry, parity, var in pairs if var in coeffs])
-            if not acc.is_zero:
-                out[bits[(r, c)]] = acc
-    return Form._trusted(size, 1, out)
+            products[bits[(r, c)]] = [(-1 if parity % 2 else 1, entry, coeffs[var])
+                                      for entry, parity, var in pairs if var in coeffs]
+    return Form._trusted(size, 1, _sums(size, products))
+
+
+def linear_combination(pairs) -> Form:
+    """sum g * F over (Form F, Poly g) pairs, one sum_of_products per mask.
+
+    The forms and coefficients share one ambient size (DimensionError) and
+    the forms one degree (DegreeError), which the result has.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("linear_combination needs at least one (form, coefficient) pair")
+    size, degree = pairs[0][0].size, pairs[0][0].degree
+    if any(form.size != size or g.size != size for form, g in pairs):
+        raise DimensionError("ambient sizes differ")
+    if any(form.degree != degree for form, _ in pairs):
+        raise DegreeError("cannot combine forms of different degrees")
+    products: dict[int, list] = {}
+    for form, g in pairs:
+        for mask, coeff in form._terms.items():
+            products.setdefault(mask, []).append((1, coeff, g))
+    return Form._trusted(size, degree, _sums(size, products))
 
 
 def class_at_point(f: Form, point: dict[Var, Fraction]) -> int:

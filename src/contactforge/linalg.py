@@ -2,8 +2,8 @@
 
 One fraction-free (Bareiss) elimination over the integers serves rank, rref
 (and through it nullspace, solve and in_row_space) and det/adj (and through
-them det and inverse): rows are scaled to integers by the lcm of their
-denominators once, in one helper. rank eliminates forward only; rref and
+it det): rows are scaled to integers by the lcm of their denominators once,
+in one helper. rank eliminates forward only; rref and
 det/adj also clear above each pivot. The matrices in scope are small
 (dimension at most 36), so clarity beats asymptotics. Nothing here ever
 touches floating point.
@@ -185,14 +185,6 @@ def nullspace(a: Mat) -> list[Vec]:
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
-
-
-def inverse(a: Mat) -> Mat | None:
-    """Exact inverse adj(A) / det(A), or None when A is singular."""
-    d, adj = det_adj(a)
-    if not d:
-        return None
-    return [[x / d for x in row] for row in adj]
 
 
 def residual(red: Mat, pivots: list[int], v: Vec) -> Vec:

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import ParameterError
 from .exterior import Form, covector_transport, ext_d, wedge
-from .polyring import Poly, Var, row_major_vars, symbolic_matrix
+from .polyring import Poly, Var, row_major_vars, sum_of_products, symbolic_matrix
 from .report import CONFIRMED, REPORTED_ONLY, VerifyReport
 from .slcontact import identity_point, matrix_point, sample_group_point
 
@@ -50,14 +50,10 @@ def so_constraint_system(n: int) -> SOConstraints:
     size = n
     a = symbolic_matrix(n)
 
-    constraints: dict[tuple[int, int], Poly] = {}
-    for k, l in constraint_order(n):
-        acc = Poly.zero(size)
-        for j in range(1, n + 1):
-            acc = acc + a[j - 1][k - 1] * a[j - 1][l - 1]
-        if k == l:
-            acc = acc - 1
-        constraints[(k, l)] = acc
+    constraints = {
+        (k, l): sum_of_products(size, [(1, row[k - 1], row[l - 1]) for row in a]) - int(k == l)
+        for k, l in constraint_order(n)
+    }
 
     rows: list[Form] = []
     for k, l in constraint_order(n):

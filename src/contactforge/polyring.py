@@ -121,18 +121,24 @@ def _check_budget(count: int, limit: int) -> None:
         raise TermLimitError(f"polynomial product reached {count} terms (budget {limit})")
 
 
-def _add_product(out: dict, f, g, scale: int) -> None:
-    """Add scale * f * g into out; f and g are sized collections of
-    (packed monomial, int) pairs. Zero sums stay in out for the caller to drop."""
+def _add_product(out: dict, f: dict, g: dict, scale: int, limit: int) -> None:
+    """Add scale * f * g into out, for {packed monomial: int} terms f and g.
+
+    The only product row loop of the module: the shorter factor drives the
+    rows, and the term budget is checked after each row, so out ends at most
+    one row of the longer factor past the budget. Zero sums stay in out for
+    the caller to drop.
+    """
     if len(f) > len(g):
         f, g = g, f
     get = out.get
-    row = g if len(f) == 1 else list(g)  # a list is faster to re-iterate, slower to make
-    for m1, c1 in f:
+    row = g.items() if len(f) == 1 else list(g.items())  # a list is faster to re-iterate
+    for m1, c1 in f.items():
         c1 *= scale
         for m2, c2 in row:
             key = m1 + m2
             out[key] = get(key, 0) + c1 * c2
+        _check_budget(len(out), limit)
 
 
 def _poly(size: int, terms: dict, den: int = 1) -> "Poly":
@@ -330,35 +336,17 @@ class Poly:
                 return NotImplemented
             other = Poly.const(self.size, other)
         self._check_size(other)
-        # the shorter factor drives the outer loop; the budget is checked
-        # after every row, so a product holds at most the budget plus the
-        # longer factor's terms
         small, big = self._terms, other._terms
         if len(small) > len(big):
             small, big = big, small
-        if not small:
-            return Poly.zero(self.size)
+        if len(small) != 1:
+            return sum_of_products(self.size, [(1, self, other)])
+        # one term shifts the other factor's monomials: none meet, none cancels
         shift = _layout(self.size).degree_shift
         _check_degree((max(small) >> shift) + (max(big) >> shift))
-        limit = config.get_max_terms()
-        if len(small) == 1:
-            # one term shifts the other factor's monomials: none meet, none cancels
-            _check_budget(len(big), limit)
-            [(m1, c1)] = small.items()
-            return _poly(self.size, {m1 + m2: c1 * c2 for m2, c2 in big.items()}, self._den * other._den)
-        out: dict[int, int] = {}
-        get = out.get
-        row = list(big.items())
-        for m1, c1 in small.items():
-            for m2, c2 in row:
-                key = m1 + m2
-                acc = get(key, 0) + c1 * c2
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-            _check_budget(len(out), limit)
-        return _poly(self.size, out, self._den * other._den)
+        _check_budget(len(big), config.get_max_terms())
+        [(m1, c1)] = small.items()
+        return _poly(self.size, {m1 + m2: c1 * c2 for m2, c2 in big.items()}, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -394,33 +382,16 @@ class Poly:
         return _poly(self.size, out, self._den)
 
     def directional(self, field: Mapping[Var, "Poly"]) -> "Poly":
-        """Directional derivative sum_v field[v] * dp/dv, summed in one dict.
+        """Directional derivative sum_v field[v] * dp/dv, one sum_of_products.
 
-        Variables absent from p are skipped, and no Poly is built for a
-        partial. The degree guard and the term budget of a product hold: the
-        budget is checked after each variable's products.
+        Variables absent from p are skipped before any partial is built.
         """
-        lay = _layout(self.size)
+        shifts = _layout(self.size).shift
         used = reduce(or_, self._terms, 0)
-        items = []
-        for var, coeff in field.items():
-            shift = lay.shift.get(var)
-            if shift is None or not (used >> shift) & 0xFF or not coeff._terms:
-                continue
-            self._check_size(coeff)
-            # m -> m - unit is injective, so the partial has no repeated monomial
-            unit = (1 << lay.degree_shift) + (1 << shift)
-            partial = [(m - unit, c * e) for m, c in self._terms.items() if (e := (m >> shift) & 0xFF)]
-            items.append((partial, coeff))
-        common = math.lcm(*(coeff._den for _, coeff in items))
-        shift = lay.degree_shift
-        limit = config.get_max_terms()
-        out: dict[int, int] = {}
-        for partial, coeff in items:
-            _check_degree((max(partial)[0] >> shift) + (max(coeff._terms) >> shift))
-            _add_product(out, partial, coeff._terms.items(), common // coeff._den)
-            _check_budget(len(out), limit)
-        return _poly(self.size, {m: c for m, c in out.items() if c}, self._den * common)
+        return sum_of_products(self.size, [
+            (1, coeff, self.diff(var)) for var, coeff in field.items()
+            if (shift := shifts.get(var)) is not None and (used >> shift) & 0xFF
+        ])
 
     def evaluate(self, assignment: dict[Var, Fraction]) -> Fraction:
         """Exact value at a rational point; every occurring variable must be assigned."""
@@ -479,9 +450,11 @@ def symbolic_matrix(size: int) -> list[list[Poly]]:
 def sum_of_products(size: int, items) -> Poly:
     """sum s * f * g over (int s, Poly f, Poly g), summed in one {packed monomial: int} dict.
 
-    Every product is put over one lcm of the denominators, and zero sums are
-    dropped once, at the end. The degree guard runs before each product and
-    the term budget is checked against the accumulator after it.
+    Poly.__mul__ sends every product here unless one factor has exactly one
+    term. Each product is put over one lcm of the denominators, and zero sums
+    are dropped once, at the end. The degree guard runs before each product,
+    and the term budget is checked against the whole accumulator after every
+    row of one, so the sum stops at most one row past the budget.
     """
     items = [(s, f, g) for s, f, g in items if s and f._terms and g._terms]
     if any(f.size != size or g.size != size for _, f, g in items):
@@ -492,8 +465,7 @@ def sum_of_products(size: int, items) -> Poly:
     out: dict[int, int] = {}
     for s, f, g in items:
         _check_degree((max(f._terms) >> shift) + (max(g._terms) >> shift))
-        _add_product(out, f._terms.items(), g._terms.items(), s * (common // (f._den * g._den)))
-        _check_budget(len(out), limit)
+        _add_product(out, f._terms, g._terms, s * (common // (f._den * g._den)), limit)
     return _poly(size, {m: c for m, c in out.items() if c}, common)
 
 

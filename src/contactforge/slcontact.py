@@ -22,6 +22,7 @@ from .exterior import (
     ext_d,
     interior_product,
     lie_derivative,
+    linear_combination,
     vf_bracket,
     wedge,
     wedge_power,
@@ -964,16 +965,11 @@ def u_decomposition(p: int, frame: SLFrame | None = None) -> VerifyReport:
             note="the printed label repeats X[1,2]; the contraction oracle pins it to X[2,1]",
         )
 
-    reconstruction = Form.zero(n, 1)
-    for kl in indices:
-        reconstruction = reconstruction + frame.alpha[kl] * u[kl]
+    reconstruction = linear_combination((frame.alpha[kl], u[kl]) for kl in indices)
+    gamma = sum(u[(k, k)] for k in range(1, n)) * Fraction(1, 2 * p)
 
-    gamma = Poly.zero(n)
-    for k in range(1, n):
-        gamma = gamma + u[(k, k)]
-    gamma = gamma * Fraction(1, 2 * p)
-
-    identity_ok = reconstruction == frame.omega * frame.delta + frame.d_delta * gamma
+    identity_ok = reconstruction == linear_combination(
+        [(frame.omega, frame.delta), (frame.d_delta, gamma)])
     rep.check(
         "exact ambient identity: sum u alpha = det * omega + gamma * d(det)",
         identity_ok,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactforge.errors import DegreeError
+from contactforge.errors import DegreeError, DimensionError
 from contactforge.exterior import (
     Form,
     VField,
@@ -16,6 +16,7 @@ from contactforge.exterior import (
     ext_d,
     interior_product,
     lie_derivative,
+    linear_combination,
     vf_bracket,
     wedge,
     wedge_power,
@@ -292,3 +293,75 @@ def test_interior_squares_to_zero():
         x = rand_vfield(rng)
         f = rand_form(rng, 2)
         assert interior_product(x, interior_product(x, f)).is_zero
+
+
+# -- contraction and linear combinations against pairwise Form sums -------------
+
+
+def pairwise_interior(x: VField, f: Form) -> Form:
+    """i(X)f term by term: one Poly product and one Form sum per generator met."""
+    acc = Form.zero(f.size, f.degree - 1)
+    for gens, coeff in f.terms.items():
+        for i, var in enumerate(gens):
+            if var in x.coeffs:
+                rest = gens[:i] + gens[i + 1:]
+                acc = acc + Form(f.size, f.degree - 1, {rest: coeff * x.coeffs[var] * (-1) ** i})
+    return acc
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_interior_product_matches_the_pairwise_reference(size):
+    rng = random.Random(190 + size)
+    for trial in range(60):
+        degree = 1 + trial % 3
+        f = rand_form(rng, degree, size) * Fraction(rng.randint(1, 5), rng.choice((1, 2, 3, 7)))
+        x = rand_vfield(rng, size) * Fraction(rng.randint(-4, 4), rng.choice((1, 5, 6)))
+        result = interior_product(x, f)
+        assert result == pairwise_interior(x, f) and result.degree == degree - 1
+    # c1 dy + c2 dz (wedged with dw) contracted with c2 d/dy - c1 d/dz cancels on every mask
+    y, z, w = (1, 2), (2, 1), (2, 2)
+    for _ in range(10):
+        c1, c2 = (rand_poly(rng, 2) * Fraction(rng.randint(1, 5), rng.choice((2, 3))) for _ in "12")
+        x = VField(2, {y: c2, z: -c1})
+        for f in (Form(2, 1, {(y,): c1, (z,): c2}), Form(2, 2, {(y, w): c1, (z, w): c2}),
+                  Form(2, 3, {((1, 1), y, w): c1, ((1, 1), z, w): c2})):
+            result = interior_product(x, f)
+            assert result.is_zero and result == pairwise_interior(x, f)
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_linear_combination_matches_the_form_loop(size):
+    rng = random.Random(195 + size)
+    for trial in range(60):
+        degree = trial % 4
+        pairs = [(rand_form(rng, degree, size) * Fraction(rng.randint(1, 5), rng.choice((1, 2, 9))),
+                  rand_poly(rng, size) * Fraction(1, rng.choice((1, 3, 4))))
+                 for _ in range(rng.randint(1, 5))]
+        if trial % 3 == 0:
+            pairs.append((Form.zero(size, degree), rand_poly(rng, size)))
+        if trial % 5 == 0:  # every sum cancels
+            pairs += [(form, -g) for form, g in pairs]
+        expected = Form.zero(size, degree)
+        for form, g in pairs:
+            expected = expected + form * g
+        result = linear_combination(pairs)
+        assert result == expected and result.degree == degree
+        if trial % 5 == 0:
+            assert result.is_zero
+
+
+def test_linear_combination_checks_sizes_and_degrees():
+    one, x = Poly.const(2, 1), Poly.variable(2, 1, 1)
+    dx, dy = dvar(1, 1), dvar(1, 2)
+    assert linear_combination([(dx, x), (Form.zero(2, 1), one), (dy, one)]) == dx * x + dy
+    assert linear_combination([(Form.zero(2, 2), one)]).degree == 2
+    with pytest.raises(DimensionError):
+        linear_combination([(dx, one), (dvar(1, 1, 3), Poly.const(3, 1))])
+    with pytest.raises(DimensionError):
+        linear_combination([(dx, Poly.const(3, 1))])
+    with pytest.raises(DegreeError):
+        linear_combination([(dx, one), (wedge(dx, dy), x)])
+    with pytest.raises(DegreeError):
+        linear_combination([(dx, one), (Form.zero(2, 2), x)])
+    with pytest.raises(ValueError):
+        linear_combination([])

@@ -35,6 +35,19 @@ def test_constraint_n2():
     assert system.f[(1, 1)] == a(1, 1, 2) * a(1, 1, 2) + a(2, 1, 2) * a(2, 1, 2) - 1
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_constraints_match_the_pairwise_build(n):
+    system = so_constraint_system(n)
+    assert list(system.f) == constraint_order(n)
+    for k, l in constraint_order(n):
+        acc = Poly.zero(n)
+        for j in range(1, n + 1):
+            acc = acc + a(j, k, n) * a(j, l, n)
+        if k == l:
+            acc = acc - 1
+        assert system.f[(k, l)] == acc
+
+
 def test_constraint_count_and_theta_degree():
     system = so_constraint_system(3)
     assert len(system.f) == 6

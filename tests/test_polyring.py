@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from contactforge import config
 from contactforge.errors import DimensionError, IncompleteAssignmentError, TermLimitError
-from contactforge.exterior import Form
+from contactforge.exterior import Form, VField
 from contactforge.polyring import (
     Poly,
     determinant,
@@ -549,6 +549,25 @@ def test_sum_of_products_keeps_the_budget_and_degree_checks(monkeypatch):
         sum_of_products(2, [(1, x, big), (1, x ** 117, a(1, 2) ** 10 * a(2, 1))])
     with pytest.raises(DimensionError):
         sum_of_products(3, [(1, x, big)])
+
+
+def test_every_sum_of_products_stops_one_row_past_the_budget(monkeypatch):
+    # f, g and the partial of p along a[1,1] have 6 terms each; every product has 36 distinct ones
+    f = Poly(2, {((1, 1, 1), (1, 2, e)): 1 for e in range(1, 7)})
+    g = Poly(2, {((2, 1, 1), (2, 2, e)): 1 for e in range(1, 7)})
+    p = Poly(2, {((1, 1, 2), (1, 2, e)): 1 for e in range(1, 7)})
+    monkeypatch.setattr(config, "get_max_terms", lambda: 10)
+    runs = {
+        "Poly.__mul__": lambda: f * g,
+        "sum_of_products": lambda: sum_of_products(2, [(1, f, g)]),
+        "Poly.directional": lambda: p.directional({(1, 1): g}),
+        "VField.apply": lambda: VField(2, {(1, 1): g}).apply(p),
+    }
+    for name, run in runs.items():
+        with pytest.raises(TermLimitError) as info:
+            run()
+        reached = int(str(info.value).split("reached ")[1].split()[0])
+        assert 10 < reached <= 10 + 6, name
 
 
 @pytest.mark.parametrize("size", [2, 3, 4])
