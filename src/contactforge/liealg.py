@@ -3,11 +3,17 @@
 Two independent computations of the class are provided and cross-checked in
 the test suite: a linear-algebra route (the rank of the bracket pairing
 matrix with alpha appended as a row) and a wedge route that never calls
-linalg. The wedge route borders d(alpha) with alpha and eliminates it over
-the integers one generator pair at a time, each live entry a Pfaffian on the
+linalg. The rank route and the ad matrices accumulate over the integers on
+one scaled table per algebra (the structure constants times the lcm of their
+denominators, built with the algebra) and hand linalg int entries wherever a
+value is integral. The wedge route scales the public brackets itself, never
+reads that table, borders d(alpha) with alpha and eliminates it over the
+integers one generator pair at a time, each live entry a Pfaffian on the
 pivots plus two rows, by Knuth's overlapping-Pfaffian identity: O(dim^3)
-steps instead of the 2^dim Pfaffians of the divided-power chain. Surveys draw
-seeded random covectors and score them against the classical bounds.
+steps instead of the 2^dim Pfaffians of the divided-power chain. Matrix
+bases (sl, so) yield their structure constants from only the products that
+can be nonzero. Surveys draw seeded random covectors and score them against
+the classical bounds.
 """
 
 from __future__ import annotations
@@ -29,12 +35,15 @@ class LieAlg:
 
     brackets maps (i, j) with i < j (1-based) to {k: coefficient} so that
     [e_i, e_j] = sum_k coeff * e_k. Antisymmetry is built into the storage;
-    the Jacobi identity is validated on construction.
+    the Jacobi identity is validated on construction. _int_table is
+    (den, ((i, j, ((k, den * coeff), ...)), ...)), den the lcm of the
+    coefficient denominators, so every entry is an int.
     """
 
     dim: int
     brackets: dict[tuple[int, int], dict[int, Fraction]]
     label: str = ""
+    _int_table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for (i, j), comp in self.brackets.items():
@@ -43,6 +52,12 @@ class LieAlg:
             for k in comp:
                 if not (1 <= k <= self.dim):
                     raise InvalidAlgebraError(f"bracket target e_{k} out of range")
+        den = math.lcm(*(c.denominator for comp in self.brackets.values() for c in comp.values()))
+        table = tuple(
+            (i, j, tuple((k, c.numerator * (den // c.denominator)) for k, c in comp.items()))
+            for (i, j), comp in self.brackets.items()
+        )
+        object.__setattr__(self, "_int_table", (den, table))
         _validate_jacobi(self)
 
     def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
@@ -54,17 +69,40 @@ class LieAlg:
         return {k: -v for k, v in self.brackets.get((j, i), {}).items()}
 
     def ad_matrix(self, x: list[Fraction]) -> linalg.Mat:
-        """Matrix of ad(x): column j is [x, e_j], accumulated per bracket key."""
+        """Matrix of ad(x): column j is [x, e_j], accumulated per bracket key.
+
+        Summed over the ints on the scaled table with x scaled once; an entry
+        is an int when it is integral and a Fraction otherwise.
+        """
         n = self.dim
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), comp in self.brackets.items():
-            xi, xj = x[i - 1], x[j - 1]
-            for k, c in comp.items():
-                if xi:
-                    m[k - 1][j - 1] += xi * c
-                if xj:
-                    m[k - 1][i - 1] -= xj * c
-        return m
+        coords, scale = _integer_coords(x)
+        den, table = self._int_table
+        m = [[0] * n for _ in range(n)]
+        for i, j, items in table:
+            xi, xj = coords[i - 1], coords[j - 1]
+            if xi or xj:
+                for k, c in items:
+                    row = m[k - 1]
+                    row[j - 1] += xi * c
+                    row[i - 1] -= xj * c
+        return _over(m, den * scale)
+
+
+def _integer_coords(x) -> tuple[list[int], int]:
+    """x times the lcm of its denominators, and that lcm."""
+    scale = math.lcm(*(v.denominator for v in x))
+    return [v.numerator * (scale // v.denominator) for v in x], scale
+
+
+def _exact(v: int, d: int) -> int | Fraction:
+    """v / d as an int when d divides v, else as a Fraction."""
+    q, r = divmod(v, d)
+    return Fraction(v, d) if r else q
+
+
+def _over(m: list[list[int]], d: int) -> linalg.Mat:
+    """The int matrix m divided by d, entry by entry as _exact does."""
+    return m if d == 1 else [[_exact(v, d) for v in row] for row in m]
 
 
 def _validate_jacobi(g: LieAlg) -> None:
@@ -72,14 +110,15 @@ def _validate_jacobi(g: LieAlg) -> None:
 
     A term [e_a,[e_b,e_c]] of the cyclic sum is zero unless (b, c) is a
     bracket key, so only the triples holding a key pair are summed, each
-    from the first of its pairs (i,j), (i,k), (j,k) that is a key. Integral
-    structure constants are checked over the ints, so only tables with
-    fractional constants (from `file:` algebras) run on Fractions.
+    from the first of its pairs (i,j), (i,k), (j,k) that is a key. The
+    sum runs over the ints on g's scaled table: every term carries den^2, so
+    the scaled sum is zero exactly when the true one is, and a failure reports
+    the true values.
     """
+    den, scaled = g._int_table
     # each bracket's items are stored once; the reversed pair reads them with sign -1
-    table: dict[tuple[int, int], tuple[int, list]] = {}
-    for (i, j), comp in g.brackets.items():
-        items = [(k, v.numerator if v.denominator == 1 else v) for k, v in comp.items()]
+    table: dict[tuple[int, int], tuple[int, tuple]] = {}
+    for i, j, items in scaled:
         table[i, j], table[j, i] = (1, items), (-1, items)
 
     for b, c in g.brackets:
@@ -87,7 +126,7 @@ def _validate_jacobi(g: LieAlg) -> None:
         triples += [(b, a, c) for a in range(b + 1, c) if (b, a) not in table]
         triples += [(a, b, c) for a in range(1, b) if (a, b) not in table and (a, c) not in table]
         for i, j, k in triples:
-            acc: dict[int, int | Fraction] = {}
+            acc: dict[int, int] = {}
             for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
                 s1, outer = table.get((y, z), (1, ()))
                 for m, coeff in outer:
@@ -95,7 +134,7 @@ def _validate_jacobi(g: LieAlg) -> None:
                     for t, v in inner:
                         acc[t] = acc.get(t, 0) + s1 * s2 * coeff * v
             if any(acc.values()):
-                bad = {t: v for t, v in sorted(acc.items()) if v}
+                bad = {t: _exact(v, den * den) for t, v in sorted(acc.items()) if v}
                 raise InvalidAlgebraError(f"Jacobi identity fails on (e_{i}, e_{j}, e_{k}): {bad}")
 
 
@@ -106,14 +145,23 @@ def _from_matrix_basis(basis: list[list[list[Fraction]]], coords, label: str) ->
     """Structure constants from an explicit matrix basis and a linear coordinate map.
 
     coords is linear, so [A, B] has coordinates coords(AB) - coords(BA); only
-    the coordinates where the two products differ are subtracted.
+    the coordinates where the two products differ are subtracted. AB is zero
+    unless a nonzero column of A meets a nonzero row of B (row and column
+    sets are bitmasks), so linalg.mat_mul computes only the products that can
+    be nonzero, and a pair with neither is skipped.
     """
     dim = len(basis)
+    rows = [sum(1 << r for r, row in enumerate(m) if any(row)) for m in basis]
+    cols = [sum(1 << c for c, col in enumerate(zip(*m)) if any(col)) for m in basis]
+    zero = [0] * dim
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            ab = coords(linalg.mat_mul(basis[i], basis[j]))
-            ba = coords(linalg.mat_mul(basis[j], basis[i]))
+            meet_ab, meet_ba = cols[i] & rows[j], cols[j] & rows[i]
+            if not (meet_ab or meet_ba):
+                continue
+            ab = coords(linalg.mat_mul(basis[i], basis[j])) if meet_ab else zero
+            ba = coords(linalg.mat_mul(basis[j], basis[i])) if meet_ba else zero
             comp = {k + 1: x - y for k, (x, y) in enumerate(zip(ab, ba)) if x != y}
             if comp:
                 brackets[(i + 1, j + 1)] = comp
@@ -262,15 +310,21 @@ def build_algebra(kind: str, n: int | None = None) -> LieAlg:
 
 
 def pairing_matrix(g: LieAlg, alpha: Covector) -> linalg.Mat:
-    """B[i][j] = alpha([e_i, e_j]) = -d(alpha)(e_i, e_j)."""
+    """B[i][j] = alpha([e_i, e_j]) = -d(alpha)(e_i, e_j).
+
+    Summed over the ints on g's scaled table with alpha scaled once; an entry
+    is an int when it is integral and a Fraction otherwise.
+    """
     n = g.dim
-    b = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), comp in g.brackets.items():
-        value = sum((alpha[k - 1] * c for k, c in comp.items()), Fraction(0))
+    coords, scale = _integer_coords(alpha)
+    den, table = g._int_table
+    b = [[0] * n for _ in range(n)]
+    for i, j, items in table:
+        value = sum(coords[k - 1] * c for k, c in items)
         if value:
             b[i - 1][j - 1] = value
             b[j - 1][i - 1] = -value
-    return b
+    return _over(b, den * scale)
 
 
 def cartan_class(g: LieAlg, alpha: Covector) -> int:

@@ -1,12 +1,14 @@
-"""Exact linear algebra over Fraction matrices (lists of lists).
+"""Exact linear algebra over rational matrices (lists of lists).
 
-One fraction-free (Bareiss) elimination over the integers serves rank, rref
-(and through it nullspace, solve and in_row_space) and det/adj (and through
-it det): rows are scaled to integers by the lcm of their denominators once,
-in one helper. rank eliminates forward only; rref and
-det/adj also clear above each pivot. The matrices in scope are small
-(dimension at most 36), so clarity beats asymptotics. Nothing here ever
-touches floating point.
+A matrix entry is an int or a Fraction; callers that accumulate over the
+integers (the Lie-algebra pairing and ad matrices) hand in int entries
+wherever a value is integral. One fraction-free (Bareiss) elimination over
+the integers serves rank, rref (and through it nullspace, solve and
+in_row_space) and det/adj (and through it det): rows are scaled to integers
+by the lcm of their denominators once, in one helper, which copies an
+all-int row as it is. rank eliminates forward only; rref and det/adj also
+clear above each pivot. The matrices in scope are small (tens of rows), so
+clarity beats asymptotics. Nothing here ever touches floating point.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Mat = list[list[Fraction]]
-Vec = list[Fraction]
+Mat = list[list[int | Fraction]]
+Vec = list[int | Fraction]
 
 
 def identity(n: int) -> Mat:
@@ -64,10 +66,16 @@ def mat_sub(a: Mat, b: Mat) -> Mat:
 
 
 def _integer_rows(a: Mat) -> tuple[list[list[int]], int]:
-    """Each row times the lcm of its denominators; returns (integer rows, product of the lcms)."""
+    """Each row times the lcm of its denominators; returns (integer rows, product of the lcms).
+
+    An all-int row has lcm 1 and is copied unchanged.
+    """
     rows = []
     scale = 1
     for row in a:
+        if all(type(x) is int for x in row):
+            rows.append(list(row))
+            continue
         lcm = math.lcm(*(x.denominator for x in row))
         scale *= lcm
         rows.append([x.numerator * (lcm // x.denominator) for x in row])

@@ -9,6 +9,7 @@ whole module stays polynomial and exact.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -556,6 +557,13 @@ def h_matrix_basis(p: int) -> list[linalg.Mat]:
     return basis
 
 
+@functools.cache
+def _h_basis_entries(p: int) -> tuple[tuple[tuple[int, int, Fraction], ...], ...]:
+    """The nonzero entries (i, j, value) of each h_matrix_basis(p) matrix, built once per p."""
+    return tuple(tuple((i, j, v) for i, row in enumerate(b) for j, v in enumerate(row) if v)
+                 for b in h_matrix_basis(p))
+
+
 def sample_group_point(group: str, n: int, seed: int) -> linalg.Mat:
     """Exact rational point on SL(n), SO(n) or H(p) (pass p as n for H).
 
@@ -589,8 +597,7 @@ def sample_group_point(group: str, n: int, seed: int) -> linalg.Mat:
         raise ParameterError("could not sample an SO point (persistent Cayley pole)")
     if group == "H":
         p = n
-        entries = [[(i, j, v) for i, row in enumerate(b) for j, v in enumerate(row) if v]
-                   for b in h_matrix_basis(p)]
+        entries = _h_basis_entries(p)
         for attempt in range(100):
             rng = random.Random(_mix_seed(3, p, seed, attempt))
             y = [[Fraction(0)] * (2 * p) for _ in range(2 * p)]

@@ -366,16 +366,18 @@ def test_wedge_route_calls_no_linalg_function(monkeypatch):
               if callable(value) and getattr(value, "__module__", None) == linalg.__name__
               and not name.startswith("_")]
     assert {"rank", "rref", "det_adj", "mat_mul", "in_row_space"} <= set(public)
-    g, so6 = sl_algebra(4), so_algebra(6)
+    g, so6, fresh = sl_algebra(4), so_algebra(6), sl_algebra(4)
     regular = tuple(F(k + 1) if k < 3 else F(0) for k in range(g.dim))
     dense = random_covector(so6, random.Random(5))
     expected = cartan_class(so6, dense)
     for name in public:
         monkeypatch.setattr(linalg, name, refuse)
+    for h in (g, so6):  # nor does it read the rank route's scaled table
+        object.__setattr__(h, "_int_table", None)
     assert cartan_class_wedge(g, regular) == 13
     assert cartan_class_wedge(so6, dense) == expected
     with pytest.raises(AssertionError, match="called linalg"):
-        cartan_class(g, regular)
+        cartan_class(fresh, regular)
 
 
 def _commutator_matrix_basis(basis, coords, label):
@@ -393,7 +395,7 @@ def _commutator_matrix_basis(basis, coords, label):
 
 def test_structure_constants_equal_the_full_commutator_construction(monkeypatch):
     built = {(kind, n): build_algebra(kind, n)
-             for kind, ns in (("sl", range(2, 6)), ("so", range(3, 8))) for n in ns}
+             for kind, ns in (("sl", range(2, 7)), ("so", range(3, 9))) for n in ns}
     monkeypatch.setattr(liealg, "_from_matrix_basis", _commutator_matrix_basis)
     for (kind, n), g in built.items():
         ref = build_algebra(kind, n)
@@ -401,10 +403,54 @@ def test_structure_constants_equal_the_full_commutator_construction(monkeypatch)
         assert all(type(v) is F for comp in g.brackets.values() for v in comp.values())
 
 
-def test_routes_agree_on_rational_covectors_and_fractional_constants(tmp_path):
-    # sl(3) on the rescaled basis e_i' = s_i e_i: [e_i', e_j'] = sum c s_i s_j / s_k e_k'
+def test_prefilter_keeps_every_product_that_can_be_nonzero():
+    # the so(3) axis generators overlap in rows and columns both ways; E12, E23
+    # meet one way only ([E12, E23] = E13); E12, E34 never meet
+    unit = liealg._unit_matrix
+
+    def gl_coords(n):
+        return lambda m: [m[r][c] for r in range(n) for c in range(n)]
+
+    so3 = [linalg.mat_sub(unit(3, 2, 1), unit(3, 1, 2)), linalg.mat_sub(unit(3, 0, 2), unit(3, 2, 0)),
+           linalg.mat_sub(unit(3, 1, 0), unit(3, 0, 1))]
+    gl4 = [unit(4, r, c) for r in range(4) for c in range(4)]
+    cases = [(so3, lambda m: [m[2][1], m[0][2], m[1][0]], "so(3)"),
+             ([unit(3, 0, 1), unit(3, 1, 2), unit(3, 0, 2)], gl_coords(3), "one-way"),
+             (gl4, gl_coords(4), "gl(4)")]
+    for basis, coords, label in cases:
+        fast = liealg._from_matrix_basis(basis, coords, label)
+        assert fast.brackets == _commutator_matrix_basis(basis, coords, label).brackets
+    assert liealg._from_matrix_basis(*cases[0]).brackets == {
+        (1, 2): {3: F(1)}, (1, 3): {2: F(-1)}, (2, 3): {1: F(1)}}
+    assert liealg._from_matrix_basis(*cases[1]).brackets == {(1, 2): {3: F(1)}}
+
+
+def _reference_pairing_matrix(g, alpha):
+    """B[i][j] = alpha([e_i, e_j]) accumulated in Fractions, the reference for pairing_matrix."""
+    n = g.dim
+    b = [[F(0)] * n for _ in range(n)]
+    for (i, j), comp in g.brackets.items():
+        value = sum((alpha[k - 1] * c for k, c in comp.items()), F(0))
+        if value:
+            b[i - 1][j - 1] = value
+            b[j - 1][i - 1] = -value
+    return b
+
+
+def _reference_ad_matrix(g, x):
+    """ad(x) accumulated in Fractions, the reference for LieAlg.ad_matrix."""
+    n = g.dim
+    m = [[F(0)] * n for _ in range(n)]
+    for (i, j), comp in g.brackets.items():
+        for k, c in comp.items():
+            m[k - 1][j - 1] += x[i - 1] * c
+            m[k - 1][i - 1] -= x[j - 1] * c
+    return m
+
+
+def _scaled_sl3(tmp_path, rng):
+    """sl(3) on the rescaled basis e_i' = s_i e_i: [e_i', e_j'] = sum c s_i s_j / s_k e_k'."""
     base = sl_algebra(3)
-    rng = random.Random(43)
     s = [F(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(base.dim)]
     lines = [f"dim {base.dim}"]
     for (i, j), comp in sorted(base.brackets.items()):
@@ -412,7 +458,50 @@ def test_routes_agree_on_rational_covectors_and_fractional_constants(tmp_path):
             lines.append(f"{i} {j} {k} {v * s[i - 1] * s[j - 1] / s[k - 1]}")
     path = tmp_path / "sl3_scaled.alg"
     path.write_text("\n".join(lines) + "\n")
-    scaled = build_algebra(f"file:{path}")
+    return base, s, build_algebra(f"file:{path}")
+
+
+def _assert_exact_ints(matrix, reference):
+    assert matrix == reference
+    for row in matrix:
+        for v in row:
+            assert type(v) is int or (type(v) is F and v.denominator > 1)
+
+
+INT_PATH_ALGEBRAS = ([sl_algebra(n) for n in range(2, 7)] + [so_algebra(n) for n in range(3, 9)]
+                     + [heisenberg_algebra(d) for d in (3, 5, 7)])
+
+
+@pytest.mark.parametrize("g", INT_PATH_ALGEBRAS, ids=lambda g: g.label)
+def test_int_pairing_and_ad_matrices_equal_the_fraction_references(g):
+    rng = random.Random(59 + g.dim)
+    vectors = [random_covector(g, rng) for _ in range(3)] + [_sparse_covector(g, rng) for _ in range(3)]
+    vectors += [tuple(F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(g.dim))
+                for _ in range(3)]
+    vectors.append(tuple(F(0) for _ in range(g.dim)))
+    for v in vectors:
+        _assert_exact_ints(pairing_matrix(g, v), _reference_pairing_matrix(g, v))
+        _assert_exact_ints(g.ad_matrix(list(v)), _reference_ad_matrix(g, v))
+
+
+def test_int_pairing_and_ad_matrices_on_fractional_constants(tmp_path):
+    rng = random.Random(61)
+    _, _, scaled = _scaled_sl3(tmp_path, rng)
+    den, table = scaled._int_table
+    assert den > 1 and all(type(c) is int for _, _, items in table for _, c in items)
+    fractional = 0
+    for _ in range(10):
+        v = tuple(F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(scaled.dim))
+        b, ad = pairing_matrix(scaled, v), scaled.ad_matrix(list(v))
+        _assert_exact_ints(b, _reference_pairing_matrix(scaled, v))
+        _assert_exact_ints(ad, _reference_ad_matrix(scaled, v))
+        fractional += sum(type(x) is F for row in b + ad for x in row)
+    assert fractional > 0
+
+
+def test_routes_agree_on_rational_covectors_and_fractional_constants(tmp_path):
+    rng = random.Random(43)
+    base, s, scaled = _scaled_sl3(tmp_path, rng)
     assert any(c.denominator > 1 for comp in scaled.brackets.values() for c in comp.values())
     for g in (scaled, sl_algebra(4), so_algebra(5), heisenberg_algebra(7)):
         for _ in range(8):
@@ -451,8 +540,9 @@ def sl3_table(tmp_path, delta) -> str:
 
 @pytest.mark.parametrize("delta", [F(1), F(1, 3)], ids=["integral", "fractional"])
 def test_a_broken_jacobi_table_raises(tmp_path, delta):
-    # the integral table is checked over the ints, the fractional one in Fractions
-    with pytest.raises(InvalidAlgebraError, match="Jacobi identity fails"):
+    # both are checked over the ints on the scaled table; the message divides back
+    message = r"\{1: -1, 2: 1\}" if delta == 1 else r"\{1: Fraction\(-1, 3\), 2: Fraction\(1, 3\)\}"
+    with pytest.raises(InvalidAlgebraError, match="Jacobi identity fails.*: " + message):
         build_algebra(sl3_table(tmp_path, delta))
     assert build_algebra(sl3_table(tmp_path, 0)).brackets == sl_algebra(3).brackets
 

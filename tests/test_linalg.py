@@ -298,3 +298,35 @@ def test_elimination_entry_points_match_the_reference_rref():
             assert [[x / det for x in row] for row in adj] == inv
             assert adj == [[det * x for x in row] for row in inv]
     assert min(shapes.values()) >= 20, shapes
+
+
+def test_int_rows_give_the_results_of_the_same_rows_as_fractions():
+    # all-int rows skip the rescaling; every entry point must not notice
+    rng = random.Random(31)
+    zero_rows = 0
+    for trial in range(300):
+        rows = rng.randint(1, 6)
+        cols = rows if trial % 2 else rng.randint(1, 6)
+        m = [[rng.randint(-5, 5) if rng.random() < 0.7 else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        if rng.random() < 0.4:
+            m[rng.randrange(rows)] = [0] * cols
+            zero_rows += 1
+        if rows >= 3 and rng.random() < 0.4:  # an integer combination of two rows
+            u, v = rng.randint(-3, 3), rng.randint(-2, 2)
+            m[rng.randrange(2, rows)] = [u * x + v * y for x, y in zip(m[0], m[1])]
+        if rows >= 2 and rng.random() < 0.3:  # one row of Fractions among int rows
+            k = rng.randrange(rows)
+            m[k] = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(cols)]
+        before = [list(row) for row in m]
+        fractions = [[Fraction(x) for x in row] for row in m]
+        assert linalg.rank(m) == linalg.rank(fractions)
+        assert linalg.rref(m) == linalg.rref(fractions)
+        if rows == cols:
+            assert linalg.det_adj(m) == linalg.det_adj(fractions)
+        assert m == before and all(type(x) is type(y) for r, s in zip(m, before)
+                                   for x, y in zip(r, s))
+    assert zero_rows >= 60
+    assert linalg.rank([[0, 0, 0], [0, 0, 0]]) == 0
+    assert linalg.rref([[0, 2], [0, 0]]) == ([[0, 1], [0, 0]], [1])
+    assert linalg.det_adj([[0, 0], [1, 2]]) == (0, None)
