@@ -217,9 +217,9 @@ SUITES: dict[str, Suite] = {
         lambda a, frame: structural_checks(a.p, frame()),
         "brackets, Lie derivatives, duality table", (1, 2, 3)),
     "invariance": Suite(
-        # the p = 3 loci need no frame: every value there is a point evaluation
+        # the loci for p >= 3 need no frame: every value there is a point evaluation
         lambda a, frame: invariance_loci(a.p, a.samples, a.seed, frame() if a.p <= 2 else None),
-        "left/right invariance loci at sampled points", (1, 2, 3), (_samples(20), _SEED)),
+        "left/right invariance loci at sampled points", (), (_samples(20), _SEED)),
     "h-algebra": Suite(
         lambda a, frame: h_algebra(a.p).report,
         "the J-preserving subalgebra", ()),

@@ -198,11 +198,6 @@ class Form:
     def from_poly(cls, p: Poly) -> "Form":
         return cls(p.size, 0, {(): p})
 
-    @classmethod
-    def generator(cls, size: int, var: Var) -> "Form":
-        """The coordinate 1-form da[r,c]."""
-        return cls(size, 1, {(var,): Poly.const(size, 1)})
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -476,27 +471,6 @@ def covector_transport(a: list[list[Poly]], side: str, base: Form) -> Form:
             products[bits[(r, c)]] = [(-1 if parity % 2 else 1, entry, coeffs[var])
                                       for entry, parity, var in pairs if var in coeffs]
     return Form._trusted(size, 1, _sums(size, products))
-
-
-def linear_combination(pairs) -> Form:
-    """sum g * F over (Form F, Poly g) pairs, one sum_of_products per mask.
-
-    The forms and coefficients share one ambient size (DimensionError) and
-    the forms one degree (DegreeError), which the result has.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("linear_combination needs at least one (form, coefficient) pair")
-    size, degree = pairs[0][0].size, pairs[0][0].degree
-    if any(form.size != size or g.size != size for form, g in pairs):
-        raise DimensionError("ambient sizes differ")
-    if any(form.degree != degree for form, _ in pairs):
-        raise DegreeError("cannot combine forms of different degrees")
-    products: dict[int, list] = {}
-    for form, g in pairs:
-        for mask, coeff in form._terms.items():
-            products.setdefault(mask, []).append((1, coeff, g))
-    return Form._trusted(size, degree, _sums(size, products))
 
 
 def class_at_point(f: Form, point: dict[Var, Fraction]) -> int:

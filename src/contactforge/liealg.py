@@ -60,14 +60,6 @@ class LieAlg:
         object.__setattr__(self, "_int_table", (den, table))
         _validate_jacobi(self)
 
-    def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
-        """[e_i, e_j] as a sparse vector."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.brackets.get((i, j), {}))
-        return {k: -v for k, v in self.brackets.get((j, i), {}).items()}
-
     def ad_matrix(self, x: list[Fraction]) -> linalg.Mat:
         """Matrix of ad(x): column j is [x, e_j], accumulated per bracket key.
 

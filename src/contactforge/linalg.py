@@ -3,11 +3,10 @@
 A matrix entry is an int or a Fraction; callers that accumulate over the
 integers (the Lie-algebra pairing and ad matrices) hand in int entries
 wherever a value is integral. One fraction-free (Bareiss) elimination over
-the integers serves rank, rref (and through it nullspace, solve and
-in_row_space) and det/adj (and through it det): rows are scaled to integers
-by the lcm of their denominators once, in one helper, which copies an
-all-int row as it is. rank eliminates forward only; rref and det/adj also
-clear above each pivot. The matrices in scope are small (tens of rows), so
+the integers serves rank, rref (and through it nullspace) and det/adj: rows
+are scaled to integers by the lcm of their denominators once, in one helper,
+which copies an all-int row as it is. rank eliminates forward only; rref and
+det/adj also clear above each pivot. The matrices in scope are small (tens of rows), so
 clarity beats asymptotics. Nothing here ever touches floating point.
 """
 
@@ -160,25 +159,6 @@ def det_adj(a: Mat) -> tuple[Fraction, Mat | None]:
     )
 
 
-def det(a: Mat) -> Fraction:
-    """Exact determinant of a square matrix (through det_adj)."""
-    return det_adj(a)[0]
-
-
-def solve(a: Mat, b: Vec) -> Vec | None:
-    """One exact solution of A x = b, or None when inconsistent."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [list(a[i]) + [Fraction(b[i])] for i in range(rows)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][cols]
-    return x
-
-
 def nullspace(a: Mat) -> list[Vec]:
     """Basis of the exact kernel of A."""
     rows = len(a)
@@ -209,9 +189,3 @@ def residual(red: Mat, pivots: list[int], v: Vec) -> Vec:
         if f:
             out = [x - f * y for x, y in zip(out, row)]
     return out
-
-
-def in_row_space(a: Mat, v: Vec) -> bool:
-    """True if v is a rational combination of the rows of A (one rref, then residual)."""
-    red, pivots = rref(a)
-    return not any(residual(red, pivots, v))

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParameterError
-from .exterior import Form, covector_transport, ext_d, wedge
-from .polyring import Poly, Var, row_major_vars, sum_of_products, symbolic_matrix
+from .exterior import Form, ext_d, wedge
+from .polyring import Poly, row_major_vars, sum_of_products, symbolic_matrix
 from .report import CONFIRMED, REPORTED_ONLY, VerifyReport
-from .slcontact import identity_point, matrix_point, sample_group_point
+from .slcontact import matrix_point, sample_group_point
 
 
 def constraint_order(n: int) -> list[tuple[int, int]]:
@@ -192,25 +192,3 @@ def so3_contact_check(samples: int = 50, seed: int = 0) -> InducedFormReport:
         is_contact_at_samples=contact,
         report=rep,
     )
-
-
-def phi_transport_difference(n: int) -> Form:
-    """Transported identity covector of phi minus phi itself.
-
-    The transport uses the adjugate as the inverse; on SO(n) the adjugate row
-    equals the matrix row, so the difference vanishes on the variety.
-    """
-    phi = induced_one_form(n)
-    phi_e = phi.evaluate_coefficients(identity_point(n))
-    return covector_transport(symbolic_matrix(n), "left", phi_e) - phi
-
-
-def theta_coefficient_via_minors(system: SOConstraints, gens: tuple[Var, ...]) -> Poly:
-    """Coefficient of a generator tuple in Theta_n, recomputed as a Jacobian minor."""
-    columns = row_major_vars(system.n)
-    col_index = {var: i for i, var in enumerate(columns)}
-    picked = [col_index[g] for g in gens]
-    sub = [[row[c] for c in picked] for row in system.jacobian]
-    from .polyring import determinant
-
-    return determinant(sub)

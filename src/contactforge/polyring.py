@@ -25,7 +25,7 @@ Fraction otherwise; constant_value() and evaluate() always return Fraction.
 
 The tuple form of a monomial, a row-major sorted tuple of (row, col,
 exponent) triples with positive exponents, is what the constructor accepts
-and what `terms`, `sorted_terms` and `leading_term` return.
+and what `terms` and `sorted_terms` return.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import or_
 
-from . import config, linalg
+from . import config
 from .errors import DimensionError, IncompleteAssignmentError, TermLimitError
 
 Var = tuple[int, int]
@@ -276,12 +276,6 @@ class Poly:
         terms = self._coeffs()
         return [(decode(m), terms[m]) for m in sorted(terms, reverse=True)]
 
-    def leading_term(self) -> tuple[Monomial, int | Fraction]:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading term")
-        mono = max(self._terms)
-        return _layout(self.size).decode(mono), _ratio(self._terms[mono], self._den)
-
     # -- ring operations -----------------------------------------------------
 
     def _check_size(self, other: "Poly") -> None:
@@ -499,40 +493,17 @@ def _square_size(mat: list[list[Poly]]) -> int:
 
 
 def determinant(mat: list[list[Poly]]) -> Poly:
-    """Exact determinant of a square Poly matrix.
-
-    Constant matrices go through linalg.det (fraction-free elimination); symbolic
-    matrices use cofactor expansion with memoized minors (sizes in scope stay
-    at or below 8).
-    """
-    n = len(mat)
-    size = _square_size(mat)
-    if all(entry.is_constant for row in mat for entry in row):
-        value = linalg.det([[e.constant_term() for e in row] for row in mat])
-        return Poly.const(size, value)
-    idx = tuple(range(n))
+    """Exact determinant of a square Poly matrix, by cofactor expansion along
+    the first remaining row with memoized minors (sizes in scope stay at or
+    below 8)."""
+    _square_size(mat)
+    idx = tuple(range(len(mat)))
     return _cofactor_det(mat, idx, idx, {})
 
 
-def minor(mat: list[list[Poly]], i: int, j: int) -> Poly:
-    """Unsigned minor: determinant after deleting row i and column j (1-based).
-
-    Cofactor signs (-1)^(i+j) are the caller's business.
-    """
-    n = len(mat)
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise DimensionError(f"minor index ({i},{j}) outside {n}x{n} matrix")
-    if n == 1:
-        return Poly.const(mat[0][0].size, 1)
-    sub = [
-        [mat[r][c] for c in range(n) if c != j - 1]
-        for r in range(n) if r != i - 1
-    ]
-    return determinant(sub)
-
-
 def minor_table(mat: list[list[Poly]]) -> dict[Var, Poly]:
-    """Every unsigned minor {(i, j): minor(mat, i, j)} (1-based), from one cofactor memo.
+    """Every unsigned minor {(i, j): det of mat without row i and column j}
+    (1-based), from one cofactor memo. Cofactor signs are the caller's business.
 
     The minors deleting different rows share the sub-determinants on the
     rows below both.
@@ -610,11 +581,3 @@ def divmod_principal(p: Poly, f: Poly) -> tuple[Poly, Poly]:
 def reduce_mod_principal(p: Poly, f: Poly) -> Poly:
     """Remainder of p modulo the principal ideal (f)."""
     return divmod_principal(p, f)[1]
-
-
-def exact_divide(p: Poly, f: Poly) -> Poly:
-    """Quotient p / f when the division is exact; raises ValueError otherwise."""
-    q, r = divmod_principal(p, f)
-    if not r.is_zero:
-        raise ValueError("division is not exact")
-    return q

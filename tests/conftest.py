@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from contactforge.polyring import Poly
+from contactforge import linalg
+from contactforge.polyring import Poly, determinant
 
 
 def rand_poly(rng: random.Random, size: int, max_terms: int = 4, max_deg: int = 2) -> Poly:
@@ -22,6 +23,18 @@ def rand_poly(rng: random.Random, size: int, max_terms: int = 4, max_deg: int = 
         key = tuple((r, c, e) for (r, c), e in sorted(mono.items()))
         terms[key] = terms.get(key, Fraction(0)) + Fraction(rng.randint(-3, 3))
     return Poly(size, terms)
+
+
+def ref_minor(mat: list[list[Poly]], i: int, j: int) -> Poly:
+    """Unsigned minor (1-based): a fresh determinant of mat without row i and
+    column j, by linalg.det_adj when every entry left is constant."""
+    n, size = len(mat), mat[0][0].size
+    sub = [[mat[r][c] for c in range(n) if c != j - 1] for r in range(n) if r != i - 1]
+    if not sub:
+        return Poly.const(size, 1)
+    if all(e.is_constant for row in sub for e in row):
+        return Poly.const(size, linalg.det_adj([[e.constant_term() for e in row] for row in sub])[0])
+    return determinant(sub)
 
 
 def poly_strategy(size: int = 2, max_terms: int = 4, max_deg: int = 2):

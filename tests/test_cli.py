@@ -177,6 +177,13 @@ def test_invariance_cli():
     assert run(["invariance", "--p", "1", "--samples", "5", "--seed", "0"]) == 0
 
 
+def test_invariance_cli_takes_p_past_3(tmp_path):
+    out = tmp_path / "inv4.json"
+    assert run(["invariance", "--p", "4", "--samples", "5", "--json", str(out)]) == 0
+    verdicts = [c["verdict"] for c in json.loads(out.read_text())["claims"]]
+    assert verdicts == ["confirmed"] * 4
+
+
 def test_structural_cli():
     assert run(["structural", "--p", "1"]) == 0
 
@@ -311,6 +318,7 @@ def test_all_p1(tmp_path):
     ["h-algebra", "--p", "-1"],
     ["scan", "--form", "t3", "--points", "0"],
     ["all", "--p", "1", "--samples", "0"],
+    ["invariance", "--p", "0"],
 ])
 def test_out_of_range_counts_exit_2_without_traceback(argv, capsys):
     assert run(argv) == 2
@@ -327,7 +335,9 @@ def test_out_of_range_counts_exit_2_without_traceback(argv, capsys):
     lambda: so3_contact_check(samples=0),
     lambda: slcontact.h_algebra(0),
     lambda: slcontact.h_algebra(-1),
-], ids=["max-terms", "class-survey", "class-survey-rank", "invariance", "so3-check", "h-algebra-0", "h-algebra-neg"])
+    lambda: slcontact.invariance_loci(0),
+], ids=["max-terms", "class-survey", "class-survey-rank", "invariance", "so3-check", "h-algebra-0",
+        "h-algebra-neg", "invariance-p0"])
 def test_library_entry_points_reject_empty_or_negative_counts(call):
     with pytest.raises(ParameterError):
         call()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactforge.errors import DegreeError, DimensionError
+from contactforge.errors import DegreeError
 from contactforge.exterior import (
     Form,
     VField,
@@ -16,7 +16,6 @@ from contactforge.exterior import (
     ext_d,
     interior_product,
     lie_derivative,
-    linear_combination,
     vf_bracket,
     wedge,
     wedge_power,
@@ -30,7 +29,7 @@ SIZE = 2
 
 
 def dvar(r, c, size=SIZE):
-    return Form.generator(size, (r, c))
+    return Form(size, 1, {((r, c),): Poly.const(size, 1)})
 
 
 def rand_form(rng: random.Random, degree: int, size=SIZE) -> Form:
@@ -69,7 +68,7 @@ def test_wedge_power_of_d_omega_p1(frame_p1):
 
 
 def test_adding_a_non_form_raises_type_error():
-    dx = Form.generator(2, (1, 1))
+    dx = dvar(1, 1)
     x = Poly.variable(2, 1, 2)
     for operand in (1, x):
         with pytest.raises(TypeError):
@@ -327,41 +326,3 @@ def test_interior_product_matches_the_pairwise_reference(size):
                   Form(2, 3, {((1, 1), y, w): c1, ((1, 1), z, w): c2})):
             result = interior_product(x, f)
             assert result.is_zero and result == pairwise_interior(x, f)
-
-
-@pytest.mark.parametrize("size", [2, 3])
-def test_linear_combination_matches_the_form_loop(size):
-    rng = random.Random(195 + size)
-    for trial in range(60):
-        degree = trial % 4
-        pairs = [(rand_form(rng, degree, size) * Fraction(rng.randint(1, 5), rng.choice((1, 2, 9))),
-                  rand_poly(rng, size) * Fraction(1, rng.choice((1, 3, 4))))
-                 for _ in range(rng.randint(1, 5))]
-        if trial % 3 == 0:
-            pairs.append((Form.zero(size, degree), rand_poly(rng, size)))
-        if trial % 5 == 0:  # every sum cancels
-            pairs += [(form, -g) for form, g in pairs]
-        expected = Form.zero(size, degree)
-        for form, g in pairs:
-            expected = expected + form * g
-        result = linear_combination(pairs)
-        assert result == expected and result.degree == degree
-        if trial % 5 == 0:
-            assert result.is_zero
-
-
-def test_linear_combination_checks_sizes_and_degrees():
-    one, x = Poly.const(2, 1), Poly.variable(2, 1, 1)
-    dx, dy = dvar(1, 1), dvar(1, 2)
-    assert linear_combination([(dx, x), (Form.zero(2, 1), one), (dy, one)]) == dx * x + dy
-    assert linear_combination([(Form.zero(2, 2), one)]).degree == 2
-    with pytest.raises(DimensionError):
-        linear_combination([(dx, one), (dvar(1, 1, 3), Poly.const(3, 1))])
-    with pytest.raises(DimensionError):
-        linear_combination([(dx, Poly.const(3, 1))])
-    with pytest.raises(DegreeError):
-        linear_combination([(dx, one), (wedge(dx, dy), x)])
-    with pytest.raises(DegreeError):
-        linear_combination([(dx, one), (Form.zero(2, 2), x)])
-    with pytest.raises(ValueError):
-        linear_combination([])

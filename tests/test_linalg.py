@@ -49,24 +49,6 @@ def test_rank_and_nullspace_consistency():
             assert all(x == 0 for x in image)
 
 
-def test_solve_roundtrip():
-    rng = random.Random(6)
-    for _ in range(25):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        m = rand_matrix(rng, rows, cols)
-        x = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
-        b = [sum(m[i][j] * x[j] for j in range(cols)) for i in range(rows)]
-        sol = linalg.solve(m, b)
-        assert sol is not None
-        check = [sum(m[i][j] * sol[j] for j in range(cols)) for i in range(rows)]
-        assert check == b
-
-
-def test_solve_inconsistent():
-    m = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-    assert linalg.solve(m, [Fraction(1), Fraction(3)]) is None
-
-
 def test_inverse():
     rng = random.Random(7)
     found = 0
@@ -108,7 +90,7 @@ def test_det_adj_matches_leibniz_and_rref_inverse():
             elif trial % 4 == 3 and n > 1:  # a repeated row: singular
                 m[-1] = list(m[0])
             det, adj = linalg.det_adj(m)
-            assert det == leibniz_det(m) == linalg.det(m)
+            assert det == leibniz_det(m)
             red, pivots = reference_rref([row + linalg.identity(n)[i] for i, row in enumerate(m)])
             if det == 0:
                 singular += 1
@@ -138,12 +120,6 @@ def test_bareiss_rank_matches_rref_rank():
             scale = Fraction(rng.randint(-2, 2))
             m[k] = [scale * x for x in m[0]]
         assert linalg.rank(m) == len(reference_rref(m)[1])
-
-
-def test_in_row_space():
-    m = [[Fraction(1), Fraction(0), Fraction(2)], [Fraction(0), Fraction(1), Fraction(-1)]]
-    assert linalg.in_row_space(m, [Fraction(2), Fraction(3), Fraction(1)])
-    assert not linalg.in_row_space(m, [Fraction(0), Fraction(0), Fraction(1)])
 
 
 def _mixed_matrix(rng, rows, cols):
@@ -235,9 +211,9 @@ def test_residual_after_one_rref_agrees_with_solving_the_transpose():
                 v = [sum(c * row[j] for c, row in zip(coef, m)) for j in range(cols)]
             else:
                 v = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
-            member = linalg.solve(linalg.transpose(m), v) is not None
+            # transpose(m) x = v is solvable iff appending v leaves the rank unchanged
+            member = len(reference_rref(m + [v])[1]) == len(reference_rref(m)[1])
             assert (not any(linalg.residual(red, pivots, v))) == member
-            assert linalg.in_row_space(m, v) == member
 
 
 def reference_nullspace(a, cols):

@@ -9,19 +9,17 @@ from contactforge.errors import ParameterError
 from contactforge.orthogroup import (
     constraint_order,
     induced_one_form,
-    phi_transport_difference,
     so3_contact_check,
     so_constraint_system,
-    theta_coefficient_via_minors,
 )
-from contactforge.polyring import Poly, row_major_vars
+from contactforge.polyring import Poly, determinant, row_major_vars, symbolic_matrix
 from contactforge.report import REPORTED_ONLY
 from contactforge.slcontact import (
     identity_point,
     matrix_point,
     sample_group_point,
 )
-from contactforge.exterior import wedge
+from contactforge.exterior import covector_transport, wedge
 
 F = Fraction
 
@@ -87,6 +85,12 @@ def test_row_symmetry_in_the_two_columns():
             assert row.coefficient(((j, l),)) == a(j, k)
 
 
+def theta_coefficient_via_minors(system, gens):
+    """Coefficient of a generator tuple in Theta_n, recomputed as a Jacobian minor."""
+    col_index = {var: i for i, var in enumerate(row_major_vars(system.n))}
+    return determinant([[row[col_index[g]] for g in gens] for row in system.jacobian])
+
+
 def test_theta_coefficients_equal_jacobian_minors():
     """Two computation paths, one answer, for every maximal column subset."""
     system = so_constraint_system(3)
@@ -122,7 +126,10 @@ def test_so3_offvariety_value_reported():
 
 
 def test_phi_is_left_invariant_on_so3():
-    diff = phi_transport_difference(3)
+    # the transported identity covector of phi minus phi, the adjugate as the inverse
+    phi = induced_one_form(3)
+    diff = covector_transport(symbolic_matrix(3), "left",
+                              phi.evaluate_coefficients(identity_point(3))) - phi
     system = so_constraint_system(3)
     assert not diff.is_zero  # off the variety the extensions differ
     wedged = wedge(diff, system.theta)

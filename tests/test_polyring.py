@@ -8,15 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactforge import config
+from contactforge import config, linalg
 from contactforge.errors import DimensionError, IncompleteAssignmentError, TermLimitError
 from contactforge.exterior import Form, VField
 from contactforge.polyring import (
     Poly,
     determinant,
     divmod_principal,
-    exact_divide,
-    minor,
     minor_table,
     reduce_mod_principal,
     sum_of_products,
@@ -24,7 +22,7 @@ from contactforge.polyring import (
 )
 from contactforge.slcontact import matrix_point, sample_group_point
 
-from conftest import poly_strategy, rand_poly
+from conftest import poly_strategy, rand_poly, ref_minor
 import random
 
 a = lambda r, c: Poly.variable(2, r, c)
@@ -77,8 +75,8 @@ def test_determinant_2x2_symbolic():
 
 def test_minor_of_2x2():
     mat = symbolic_matrix(2)
-    assert minor(mat, 1, 1) == a(2, 2)
-    assert minor(mat, 2, 1) == a(1, 2)
+    assert ref_minor(mat, 1, 1) == a(2, 2)
+    assert ref_minor(mat, 2, 1) == a(1, 2)
 
 
 def test_determinant_identity_4x4():
@@ -102,7 +100,7 @@ def test_laplace_expansion_every_row(n):
     for i in range(1, n + 1):
         acc = Poly.zero(n)
         for j in range(1, n + 1):
-            term = mat[i - 1][j - 1] * minor(mat, i, j)
+            term = mat[i - 1][j - 1] * ref_minor(mat, i, j)
             acc = acc + term if (i + j) % 2 == 0 else acc - term
         assert acc == det
 
@@ -114,12 +112,12 @@ def test_bareiss_matches_symbolic_at_points():
     for _ in range(10):
         m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
         const = [[Poly.const(n, x) for x in row] for row in m]
-        assert determinant(const).constant_value() == sym.evaluate(matrix_point(m))
+        assert determinant(const).constant_value() == linalg.det_adj(m)[0] == sym.evaluate(matrix_point(m))
 
 
 def test_grlex_leading_term_of_det():
     delta = determinant(symbolic_matrix(3))
-    mono, coeff = delta.leading_term()
+    mono, coeff = delta.sorted_terms()[0]
     assert mono == ((1, 1, 1), (2, 2, 1), (3, 3, 1))
     assert coeff == 1
 
@@ -156,9 +154,8 @@ def test_reduce_kills_multiples(p, r):
 def test_exact_divide():
     delta = determinant(symbolic_matrix(2))
     q = a(1, 2) * a(2, 1) + 3
-    assert exact_divide(delta * q, delta) == q
-    with pytest.raises(ValueError):
-        exact_divide(a(1, 1), delta)
+    quotient, remainder = divmod_principal(delta * q, delta)
+    assert quotient == q and remainder.is_zero
 
 
 def test_divide_by_zero_raises():
@@ -302,7 +299,7 @@ def assert_int_exactly_when_integral(p: Poly):
     """Every view gives an int for an integral coefficient and a Fraction otherwise."""
     views = [*p.terms.values(), *(c for _, c in p.sorted_terms()), p.constant_term()]
     if not p.is_zero:
-        views.append(p.leading_term()[1])
+        views.append(p.sorted_terms()[0][1])
     for c in views:
         assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
 
@@ -352,7 +349,7 @@ def test_sorted_terms_follow_the_grlex_key(size):
         p = Poly(size, terms)
         expected = sorted(terms, key=ref_grlex_key, reverse=True)
         assert [m for m, _ in p.sorted_terms()] == expected
-        assert p.leading_term() == (expected[0], terms[expected[0]])
+        assert p.sorted_terms()[0] == (expected[0], terms[expected[0]])
 
 
 def test_integral_coefficients_are_ints():
@@ -375,7 +372,7 @@ def test_integral_coefficients_are_ints():
         x * Fraction(5, 10) + y * Fraction(9, 6),
         (x * 2 + y * 6) * Fraction(1, 4),
         (x * x * Fraction(1, 4)).diff((1, 1)) + y * Fraction(3, 2),
-        exact_divide((x + 3 * y) * (x - y), (x - y) * 2),
+        divmod_principal((x + 3 * y) * (x - y), (x - y) * 2)[0],
         divmod_principal(x * x + 3 * x * y, x * Fraction(4, 3))[0] * Fraction(2, 3),
     ]
     assert all(r == half and r.terms == half.terms for r in routes)
@@ -395,7 +392,7 @@ def test_constant_value_and_evaluate_return_fractions():
 def test_degree_guard_raises_term_limit():
     x, y = a(1, 1), a(2, 2)
     assert (x ** 127).terms == {((1, 1, 127),): 1}
-    assert (x ** 100 * y ** 27).leading_term() == (((1, 1, 100), (2, 2, 27)), 1)
+    assert (x ** 100 * y ** 27).sorted_terms()[0] == (((1, 1, 100), (2, 2, 27)), 1)
     with pytest.raises(TermLimitError):
         x ** 128
     with pytest.raises(TermLimitError):
@@ -487,7 +484,7 @@ def test_a_one_term_factor_keeps_the_budget_and_degree_checks(monkeypatch):
 
 def test_a_foreign_operand_falls_back_or_raises_type_error():
     x = Poly.variable(2, 1, 2)
-    dx = Form.generator(2, (1, 1))
+    dx = Form(2, 1, {((1, 1),): Poly.const(2, 1)})
     assert x * dx == dx * x
     with pytest.raises(TypeError):
         x + dx
@@ -616,6 +613,6 @@ def test_minor_table_matches_minor_entrywise(n):
         table = minor_table(mat)
         assert list(table) == [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
         for (i, j), entry in table.items():
-            assert entry == minor(mat, i, j)
+            assert entry == ref_minor(mat, i, j)
     with pytest.raises(DimensionError):
         minor_table([[a(1, 1), a(1, 2)]])

@@ -1,17 +1,19 @@
 """SL(2p) verification suite: frame, contact identity, Reeb field, loci,
 the J-preserving subalgebra, u-decomposition, samplers."""
 
+import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from contactforge import linalg, slcontact
 from contactforge.errors import InternalCheckError, ParameterError
-from contactforge.exterior import Form, VField, ext_d, interior_product, wedge
-from contactforge.polyring import Poly, reduce_mod_principal, row_major_vars
-from contactforge.report import CONFIRMED, REPORTED_ONLY
+from contactforge.exterior import Form, VField, covector_transport, ext_d, interior_product, wedge
+from contactforge.polyring import Poly, reduce_mod_principal, row_major_vars, symbolic_matrix
+from contactforge.report import CONFIRMED, REFUTED, REPORTED_ONLY
 from contactforge.slcontact import (
     build_frame,
     h_algebra,
@@ -25,7 +27,6 @@ from contactforge.slcontact import (
     matrix_point,
     preserves_j,
     reeb_field,
-    right_locus_equations,
     sample_group_point,
     sample_sl_nonorthogonal,
     structural_checks,
@@ -194,14 +195,14 @@ def test_duality_examples_p1(frame_p1):
 def test_sample_sl_determinant():
     for seed in range(10):
         a = sample_group_point("SL", 4, seed)
-        assert linalg.det(a) == 1
+        assert linalg.det_adj(a)[0] == 1
 
 
 def test_sample_so_orthogonal():
     for seed in range(10):
         a = sample_group_point("SO", 3, seed)
         assert is_orthogonal(a)
-        assert linalg.det(a) == 1
+        assert linalg.det_adj(a)[0] == 1
 
 
 def test_sample_h_preserves_j():
@@ -209,7 +210,7 @@ def test_sample_h_preserves_j():
     for seed in range(10):
         a = sample_group_point("H", 2, seed)
         assert preserves_j(a, jm)
-        assert linalg.det(a) == 1
+        assert linalg.det_adj(a)[0] == 1
 
 
 def test_samplers_deterministic():
@@ -221,7 +222,7 @@ def test_samplers_deterministic():
 def test_nonorthogonal_sampler():
     for seed in range(5):
         a = sample_sl_nonorthogonal(4, seed)
-        assert linalg.det(a) == 1
+        assert linalg.det_adj(a)[0] == 1
         assert not is_orthogonal(a)
 
 
@@ -253,6 +254,14 @@ def test_cayley_rational_rotation_satisfies_left_locus(frame_p1):
     assert all(eq.evaluate(pt) == 0 for eq in eqs.values())
 
 
+def right_locus_equations(frame):
+    """Coefficients of the right-transported identity covector minus omega, row-major."""
+    n = frame.size
+    omega_e = frame.omega.evaluate_coefficients(identity_point(n))
+    diff = covector_transport(symbolic_matrix(n), "right", omega_e) - frame.omega
+    return {(i, j): diff.coefficient(((i, j),)) for i in range(1, n + 1) for j in range(1, n + 1)}
+
+
 def test_right_locus_is_all_of_sl2(frame_p1):
     eqs = right_locus_equations(frame_p1)
     for seed in range(10):
@@ -264,7 +273,7 @@ def _invertible(rng, n):
     """A seeded rational n x n matrix with det not in {0, 1}."""
     while True:
         m = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
-        if linalg.det(m) not in (0, 1):
+        if linalg.det_adj(m)[0] not in (0, 1):
             return m
 
 
@@ -331,10 +340,11 @@ def test_h_direct_basis_matches_nullspace_span():
         direct = h_matrix_basis(p)
         assert len(direct) == result.dimension
         n = 2 * p
-        rows = [[y[r][c] for r in range(n) for c in range(n)] for y in result.basis]
+        red, pivots = linalg.rref([[y[r][c] for r in range(n) for c in range(n)]
+                                   for y in result.basis])
         for y in direct:
             vec = [y[r][c] for r in range(n) for c in range(n)]
-            assert linalg.in_row_space(rows, vec)
+            assert not any(linalg.residual(red, pivots, vec))
 
 
 # -- u-decomposition -----------------------------------------------------------------
@@ -367,6 +377,34 @@ def test_u_decomposition_report(p, request):
         "literal coefficient-wise reading: sum u alpha = omega modulo (det - 1)"
     ]
     assert literal.verdict == REPORTED_ONLY
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_u_decomposition_refutes_a_broken_coframe(p, request):
+    """alpha[2,1] doubled: its terms lie only on the da[i,1], none of them the
+    last generator, so every generator's verdict must count."""
+    frame = request.getfixturevalue(f"frame_p{p}")
+    alpha = {**frame.alpha, (2, 1): frame.alpha[(2, 1)] * 2}
+    assert all(gens[0][1] == 1 for gens in frame.alpha[(2, 1)].terms)
+    rep = u_decomposition(p, dataclasses.replace(frame, alpha=alpha))
+    assert not rep.ok
+    by_anchor = {c.anchor: c for c in rep.claims}
+    for anchor in ("exact ambient identity: sum u alpha = det * omega + gamma * d(det)",
+                   "reconstruction equals omega as a form on the det = 1 locus"):
+        assert by_anchor[anchor].verdict == REFUTED
+    literal = by_anchor["literal coefficient-wise reading: sum u alpha = omega modulo (det - 1)"]
+    assert literal.verdict == REPORTED_ONLY
+
+
+def test_u_decomposition_p3_holds_no_whole_form(frame_p3):
+    """Each side of the identity is built one generator coefficient at a time."""
+    tracemalloc.start()
+    try:
+        assert u_decomposition(3, frame_p3).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def _u_difference(frame):
@@ -420,13 +458,13 @@ def test_u_tangential_claim_pointwise(p, request):
     difference, _ = _u_difference(frame)
     for seed in range(3):
         a = sample_group_point("SL", n, seed)
-        assert linalg.det(a) == 1
+        assert linalg.det_adj(a)[0] == 1
         point = matrix_point(a)
         assert _parallel(_coefficient_vector(difference, point, n),
                          _coefficient_vector(frame.d_delta, point, n))
     off = sample_group_point("SL", n, 0)
     off[0] = [2 * x for x in off[0]]
-    assert linalg.det(off) == 2
+    assert linalg.det_adj(off)[0] == 2
     point = matrix_point(off)
     assert not _parallel(_coefficient_vector(difference, point, n),
                          _coefficient_vector(frame.d_delta, point, n))
