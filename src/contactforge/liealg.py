@@ -428,7 +428,6 @@ class ClassSurvey:
     label: str
     samples: int
     seed: int
-    rank_hint: int
     histogram: dict[int, int]
     upper_bound: int
     max_observed: int
@@ -471,7 +470,6 @@ def class_survey(g: LieAlg, rank_hint: int, samples: int, seed: int) -> ClassSur
         label=g.label,
         samples=samples,
         seed=seed,
-        rank_hint=rank_hint,
         histogram=dict(sorted(histogram.items())),
         upper_bound=upper,
         max_observed=max_obs,

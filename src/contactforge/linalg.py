@@ -174,18 +174,3 @@ def nullspace(a: Mat) -> list[Vec]:
         basis.append(v)
     return basis
 
-
-def residual(red: Mat, pivots: list[int], v: Vec) -> Vec:
-    """v minus the combination of the rows of an rref that agrees with v on the pivots.
-
-    `red, pivots` is the output of rref(A). Each pivot row has 1 in its pivot
-    column and 0 in the others, so reducing v by the rows in turn leaves a
-    vector that is zero exactly when v lies in the row space of A. Eliminate
-    A once with rref and call this for every vector to be tested.
-    """
-    out = list(v)
-    for row, c in zip(red, pivots):
-        f = out[c]
-        if f:
-            out = [x - f * y for x, y in zip(out, row)]
-    return out

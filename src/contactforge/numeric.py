@@ -292,7 +292,6 @@ def contact_scan(f: FormFn, points, tol: float = 1e-9) -> ScanReport:
 @dataclass
 class SingularScanReport:
     form: str
-    directions: tuple
     n_points: int
     tol: float
     invariance_max_diff: float
@@ -362,7 +361,6 @@ def singular_scan(f: FormFn, directions, points, tol: float = 1e-9, seed: int = 
             min_rank_off = r if min_rank_off is None else min(min_rank_off, r)
     return SingularScanReport(
         form=f.name,
-        directions=dirs,
         n_points=len(pts),
         tol=tol,
         invariance_max_diff=max_diff,

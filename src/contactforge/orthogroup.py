@@ -89,7 +89,6 @@ class InducedFormReport:
     """Exact top-form data for the SO(3) contact check."""
 
     n: int
-    phi: Form
     top_coefficient: Poly
     sample_values: list[Fraction]
     oriented_values: list[Fraction]
@@ -184,7 +183,6 @@ def so3_contact_check(samples: int = 50, seed: int = 0) -> InducedFormReport:
 
     return InducedFormReport(
         n=3,
-        phi=phi,
         top_coefficient=coeff,
         sample_values=values,
         oriented_values=oriented,

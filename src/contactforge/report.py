@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .exterior import Form, VField
 from .polyring import Poly
 
 CONFIRMED = "confirmed"
@@ -37,29 +36,11 @@ def poly_to_jsonable(p: Poly) -> list:
     ]
 
 
-def form_to_jsonable(f: Form) -> dict:
-    return {
-        "degree": f.degree,
-        "terms": [
-            [[[r, c] for r, c in gens], poly_to_jsonable(coeff)]
-            for gens, coeff in sorted(f.terms.items())
-        ],
-    }
-
-
-def vfield_to_jsonable(x: VField) -> list:
-    return [[[r, c], poly_to_jsonable(coeff)] for (r, c), coeff in sorted(x.coeffs.items())]
-
-
 def to_jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, Poly):
         return poly_to_jsonable(value)
-    if isinstance(value, Form):
-        return form_to_jsonable(value)
-    if isinstance(value, VField):
-        return vfield_to_jsonable(value)
     if isinstance(value, dict):
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -9,7 +9,6 @@ whole module stays polynomial and exact.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -114,15 +113,11 @@ def build_frame(p: int) -> SLFrame:
     x_fields: dict[FrameIndex, VField] = {}
     y_fields: dict[FrameIndex, VField] = {}
     for k, l in sl_basis_indices(2 * p):
-        if k == l:
-            coeffs = {(i, k): a(i, k) for i in range(1, n + 1)}
-            for i in range(1, n + 1):
-                coeffs[(i, n)] = coeffs.get((i, n), Poly.zero(n)) - a(i, n)
-            x_fields[(k, k)] = VField(n, coeffs)
-            row_coeffs = {(k, i): a(k, i) for i in range(1, n + 1)}
-            for i in range(1, n + 1):
-                row_coeffs[(n, i)] = row_coeffs.get((n, i), Poly.zero(n)) - a(n, i)
-            y_fields[(k, k)] = VField(n, row_coeffs)
+        if k == l:  # minus the last column (row); k < n, so no entry is shared
+            x_fields[(k, k)] = VField(n, {(i, k): a(i, k) for i in range(1, n + 1)}
+                                      | {(i, n): -a(i, n) for i in range(1, n + 1)})
+            y_fields[(k, k)] = VField(n, {(k, i): a(k, i) for i in range(1, n + 1)}
+                                      | {(n, i): -a(n, i) for i in range(1, n + 1)})
         else:
             x_fields[(k, l)] = VField(n, {(i, l): a(i, k) for i in range(1, n + 1)})
             y_fields[(k, l)] = VField(n, {(k, i): a(l, i) for i in range(1, n + 1)})
@@ -198,7 +193,6 @@ class ContactReport:
     claimed_constant: int
     volume_reading_matches: bool
     dw_top_scalar: Fraction
-    dw_reading_rhs: Fraction | None
     dw_reading_matches: bool
     is_contact: bool
     report: VerifyReport = field(default=None)
@@ -230,7 +224,7 @@ def verify_contact_identity(p: int, frame: SLFrame | None = None) -> ContactRepo
         rep.add("top coefficient divisible by det", False, True, "derived", REFUTED,
                 note="exact division by det left a remainder; identity violated")
         return ContactReport(p, top_coeff, None, None, -(2 ** (2 * p * p + p - 1)),
-                             False, Fraction(0), None, False, report=rep)
+                             False, Fraction(0), False, report=rep)
     rep.add("top coefficient divisible by det", True, True, "derived", CONFIRMED)
 
     if not quotient.is_constant:
@@ -270,7 +264,6 @@ def verify_contact_identity(p: int, frame: SLFrame | None = None) -> ContactRepo
         claimed_constant=claimed,
         volume_reading_matches=volume_ok,
         dw_top_scalar=dw_scalar,
-        dw_reading_rhs=dw_rhs,
         dw_reading_matches=dw_ok,
         is_contact=is_contact,
         report=rep,
@@ -515,60 +508,26 @@ def is_orthogonal(a: linalg.Mat) -> bool:
     return linalg.mat_mul(linalg.transpose(a), a) == linalg.identity(len(a))
 
 
-def preserves_j(a: linalg.Mat, jm: linalg.Mat) -> bool:
-    """tA J A == jm, with jm = j_matrix(len(a) // 2) applied as a signed permutation."""
-    return linalg.mat_mul(linalg.transpose(a), _j_times(a)) == jm
+def preserves_j(a: linalg.Mat) -> bool:
+    """tA J A == J, with J = j_matrix(len(a) // 2) applied as a signed permutation."""
+    return linalg.mat_mul(linalg.transpose(a), _j_times(a)) == j_matrix(len(a) // 2)
 
 
-def h_matrix_basis(p: int) -> list[linalg.Mat]:
-    """Direct basis of {Y : JY + tY J = 0}: traceless 2x2 diagonal blocks plus
-    free upper blocks mirrored by M[j][i] = J2 (M[i][j])^T J2."""
-    n = 2 * p
-    j2 = j_matrix(1)
-    basis = []
-
-    def place(block_i, block_j, b22):
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for r in range(2):
-            for c in range(2):
-                m[2 * block_i + r][2 * block_j + c] = b22[r][c]
-        return m
-
-    diag_gens = [
-        [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]],
-        [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]],
-        [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)]],
-    ]
-    for i in range(p):
-        for g in diag_gens:
-            basis.append(place(i, i, g))
-    for i in range(p):
-        for j in range(i + 1, p):
-            for r in range(2):
-                for c in range(2):
-                    unit = [[Fraction(int(rr == r and cc == c)) for cc in range(2)] for rr in range(2)]
-                    mirror = linalg.mat_mul(linalg.mat_mul(j2, linalg.transpose(unit)), j2)
-                    m = place(i, j, unit)
-                    for rr in range(2):
-                        for cc in range(2):
-                            m[2 * j + rr][2 * i + cc] = mirror[rr][cc]
-                    basis.append(m)
-    return basis
-
-
-@functools.cache
-def _h_basis_entries(p: int) -> tuple[tuple[tuple[int, int, Fraction], ...], ...]:
-    """The nonzero entries (i, j, value) of each h_matrix_basis(p) matrix, built once per p."""
-    return tuple(tuple((i, j, v) for i, row in enumerate(b) for j, v in enumerate(row) if v)
-                 for b in h_matrix_basis(p))
+def _in_h(y: linalg.Mat) -> bool:
+    """Y lies in h = {Y : JY + tY J = 0} exactly when JY is symmetric, since
+    tJ = -J makes JY + tY J = JY - t(JY)."""
+    jy = _j_times(y)
+    return jy == linalg.transpose(jy)
 
 
 def sample_group_point(group: str, n: int, seed: int) -> linalg.Mat:
     """Exact rational point on SL(n), SO(n) or H(p) (pass p as n for H).
 
     SL points come from unit-triangular integer factors, SO and H points from
-    Cayley transforms of random skew (resp. J-skew) rational matrices; a
-    Cayley pole triggers a deterministic resample.
+    Cayley transforms of rational matrices in their Lie algebras: random skew
+    S for SO, and J^T S with S random symmetric for H (J (J^T S) = S is
+    symmetric, so J^T S lies in h). A Cayley pole triggers a deterministic
+    resample.
     """
     if group == "SL":
         rng = random.Random(_mix_seed(1, n, seed))
@@ -595,16 +554,14 @@ def sample_group_point(group: str, n: int, seed: int) -> linalg.Mat:
                 return a
         raise ParameterError("could not sample an SO point (persistent Cayley pole)")
     if group == "H":
-        p = n
-        entries = _h_basis_entries(p)
+        p, n = n, 2 * n
         for attempt in range(100):
             rng = random.Random(_mix_seed(3, p, seed, attempt))
-            y = [[Fraction(0)] * (2 * p) for _ in range(2 * p)]
-            for nonzero in entries:
-                c = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-                for i, j, v in nonzero:
-                    y[i][j] += c * v
-            a = _cayley(y)
+            s = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    s[i][j] = s[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+            a = _cayley(_jt_times(s))
             if a is not None:
                 return a
         raise ParameterError("could not sample an H point (persistent Cayley pole)")
@@ -692,7 +649,6 @@ def invariance_loci(
         raise ParameterError("samples must be >= 1")
     n = 2 * p
     rep = VerifyReport("invariance", {"p": p, "samples": samples, "seed": seed})
-    jm = j_matrix(p)
 
     if p <= 2:
         left_locus_equations(frame or build_frame(p))
@@ -736,7 +692,7 @@ def invariance_loci(
     for k in range(samples):
         a = sample_group_point("H", p, _mix_seed(seed, k))
         d, adj = linalg.det_adj(a)
-        if not preserves_j(a, jm) or d != 1:
+        if not preserves_j(a) or d != 1:
             h_failures.append((k, "sampler produced a point outside H"))
             continue
         if any(_locus_values(a, adj, "right")):
@@ -752,7 +708,7 @@ def invariance_loci(
         sl_failures = []
         for k in range(samples):
             a = sample_group_point("SL", n, _mix_seed(seed, k, 7))
-            if any(locus_values(a, "right")) or not preserves_j(a, jm):
+            if any(locus_values(a, "right")) or not preserves_j(a):
                 sl_failures.append(k)
         rep.check(
             "for p = 1 the right locus holds at arbitrary SL(2) points (H = SL(2))",
@@ -764,7 +720,7 @@ def invariance_loci(
         nonh_failures = []
         for k in range(samples):
             a = sample_sl_nonorthogonal(n, _mix_seed(seed, k, 11))
-            if preserves_j(a, jm):
+            if preserves_j(a):
                 continue  # exceedingly unlikely; skip rather than miscount
             if not any(locus_values(a, "right")):
                 nonh_failures.append(k)
@@ -786,7 +742,6 @@ class SubalgebraResult:
     """Solution space of J Y + tY J = 0 with closure and block-shape audits."""
 
     p: int
-    system: linalg.Mat
     basis: list[linalg.Mat]
     dimension: int
     bracket_closed: bool
@@ -796,6 +751,11 @@ class SubalgebraResult:
 
 
 def h_algebra(p: int) -> SubalgebraResult:
+    """Solve JY + tY J = 0 exactly and audit h: dimension, closure, trace, block rules.
+
+    The nullspace of the dense system is the oracle for the dimension and
+    the block rules; membership and closure are decided by _in_h.
+    """
     if p < 1:
         raise ParameterError("p must be >= 1")
     n = 2 * p
@@ -803,41 +763,30 @@ def h_algebra(p: int) -> SubalgebraResult:
     limit = config.get_max_terms()
     if n ** 4 > limit:
         raise TermLimitError(f"h-algebra system of {n ** 4} entries (budget {limit})")
-    jm = j_matrix(p)
     rep = VerifyReport("h-algebra", {"p": p})
 
-    # unknowns y[r][c] flattened row-major; equations are the entries of JY + tY J
-    rows: linalg.Mat = []
-    for u in range(n):
-        for v in range(n):
-            row = [Fraction(0)] * (n * n)
-            for w in range(n):
-                row[w * n + v] += jm[u][w]
-                row[w * n + u] += jm[w][v]
-            rows.append(row)
-    kernel = linalg.nullspace(rows)
+    # unknowns y[r][c] flattened row-major; column r * n + c of the system is
+    # JE - t(JE) = JE + tE J, row-major, for the unit matrix E = E[r][c]
+    columns = []
+    for r in range(n):
+        for c in range(n):
+            je = _j_times([[int((i, j) == (r, c)) for j in range(n)] for i in range(n)])
+            columns.append([je[u][v] - je[v][u] for u in range(n) for v in range(n)])
+    kernel = linalg.nullspace(linalg.transpose(columns))
     basis = [[vec[r * n:(r + 1) * n] for r in range(n)] for vec in kernel]
-
-    for y in basis:
-        lhs = linalg.mat_mul(jm, y)
-        rhs = linalg.mat_mul(linalg.transpose(y), jm)
-        if any(lhs[i][j] + rhs[i][j] != 0 for i in range(n) for j in range(n)):
-            raise InternalCheckError("nullspace element violates the defining equations")
+    if not all(map(_in_h, basis)):
+        raise InternalCheckError("nullspace element violates the defining equations")
 
     dim = len(basis)
     rep.check("dim h = p(2p+1)", dim, p * (2 * p + 1), "claimed")
 
-    # eliminate the span once; each commutator is then reduced by its pivot rows
-    span, pivots = linalg.rref(kernel)
-    closed = True
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            comm = linalg.mat_sub(
-                linalg.mat_mul(basis[i], basis[j]), linalg.mat_mul(basis[j], basis[i])
-            )
-            vec = [comm[r][c] for r in range(n) for c in range(n)]
-            if any(linalg.residual(span, pivots, vec)):
-                closed = False
+    # Each basis matrix lies in h and, once the dimension claim holds, they
+    # span all of h; so a commutator lies in their span exactly when it
+    # satisfies the defining equations itself.
+    closed = all(
+        _in_h(linalg.mat_sub(linalg.mat_mul(basis[i], basis[j]), linalg.mat_mul(basis[j], basis[i])))
+        for i in range(dim) for j in range(i + 1, dim)
+    )
     rep.check("h is closed under the matrix bracket", closed, True, "derived")
 
     traceless = all(sum(y[i][i] for i in range(n)) == 0 for y in basis)
@@ -879,7 +828,6 @@ def h_algebra(p: int) -> SubalgebraResult:
         )
     return SubalgebraResult(
         p=p,
-        system=rows,
         basis=basis,
         dimension=dim,
         bracket_closed=closed,

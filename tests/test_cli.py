@@ -9,14 +9,15 @@ import subprocess
 import sys
 import time
 import types
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactforge import cli, config, slcontact
+from contactforge import cli, config, linalg, slcontact
 from contactforge.cli import SUITES, main
-from contactforge.errors import ParameterError
+from contactforge.errors import InternalCheckError, ParameterError
 from contactforge.liealg import build_algebra, class_survey
 from contactforge.orthogroup import so3_contact_check
 
@@ -356,6 +357,22 @@ def test_broken_frame_check_exits_1_with_an_error_line(monkeypatch, capsys):
     assert run(["verify-contact", "--p", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: [X, Y(1,1)] != 0")
+    assert "Traceback" not in err
+
+
+def test_a_nullspace_vector_outside_h_exits_1_with_an_error_line(monkeypatch, capsys):
+    nullspace = linalg.nullspace
+
+    def with_the_identity(a):  # the flattened identity: J I = J is not symmetric
+        n = math.isqrt(len(a[0]))
+        return nullspace(a) + [[Fraction(int(k % (n + 1) == 0)) for k in range(n * n)]]
+
+    monkeypatch.setattr(linalg, "nullspace", with_the_identity)
+    with pytest.raises(InternalCheckError):
+        slcontact.h_algebra(1)
+    assert run(["h-algebra", "--p", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: nullspace element violates the defining equations")
     assert "Traceback" not in err
 
 

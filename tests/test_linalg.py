@@ -5,7 +5,6 @@ import random
 from fractions import Fraction
 
 from contactforge import linalg
-from contactforge.slcontact import _cayley, _mix_seed, h_matrix_basis, sample_group_point
 
 
 def reference_rref(a):
@@ -164,23 +163,6 @@ def test_mat_mul_equals_dense_triple_sum():
     assert zero_lines >= 60
 
 
-def test_h_sampler_equals_the_dense_accumulation():
-    # the H point before the sparse accumulation: every basis matrix added densely
-    for p, seed in ((1, 0), (2, 5), (3, 1), (3, 9)):
-        basis = h_matrix_basis(p)
-        n = 2 * p
-        for attempt in range(100):
-            rng = random.Random(_mix_seed(3, p, seed, attempt))
-            y = [[Fraction(0)] * n for _ in range(n)]
-            for b in basis:
-                c = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-                y = [[y[i][j] + c * b[i][j] for j in range(n)] for i in range(n)]
-            a = _cayley(y)
-            if a is not None:
-                break
-        assert sample_group_point("H", p, seed) == a
-
-
 def test_rank_with_mixed_denominators_and_zero_rows():
     rng = random.Random(19)
     for _ in range(100):
@@ -195,25 +177,6 @@ def test_rank_with_mixed_denominators_and_zero_rows():
                 m[k] = [u * x + v * y for x, y in zip(m[0], m[1])]
         assert linalg.rank(m) == len(reference_rref(m)[1])
     assert linalg.rank([[0, 0], [Fraction(0), 0]]) == 0
-
-
-def test_residual_after_one_rref_agrees_with_solving_the_transpose():
-    rng = random.Random(23)
-    for _ in range(60):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
-        m = rand_matrix(rng, rows, cols)
-        if rows > 2:  # rank deficiency
-            m[-1] = [2 * x - y for x, y in zip(m[0], m[1])]
-        red, pivots = linalg.rref(m)
-        for _ in range(4):
-            if rng.random() < 0.5:  # a combination of the rows, or anything
-                coef = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(rows)]
-                v = [sum(c * row[j] for c, row in zip(coef, m)) for j in range(cols)]
-            else:
-                v = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
-            # transpose(m) x = v is solvable iff appending v leaves the rank unchanged
-            member = len(reference_rref(m + [v])[1]) == len(reference_rref(m)[1])
-            assert (not any(linalg.residual(red, pivots, v))) == member
 
 
 def reference_nullspace(a, cols):

@@ -17,7 +17,6 @@ from contactforge.report import CONFIRMED, REFUTED, REPORTED_ONLY
 from contactforge.slcontact import (
     build_frame,
     h_algebra,
-    h_matrix_basis,
     identity_point,
     invariance_loci,
     is_orthogonal,
@@ -206,11 +205,11 @@ def test_sample_so_orthogonal():
 
 
 def test_sample_h_preserves_j():
-    jm = j_matrix(2)
-    for seed in range(10):
-        a = sample_group_point("H", 2, seed)
-        assert preserves_j(a, jm)
-        assert linalg.det_adj(a)[0] == 1
+    for p in range(1, 5):
+        for seed in range(6):
+            a = sample_group_point("H", p, seed)
+            assert preserves_j(a)
+            assert linalg.det_adj(a)[0] == 1
 
 
 def test_samplers_deterministic():
@@ -334,17 +333,34 @@ def test_h_block_rules():
     assert verdicts["corrected block rule M[j,i] = J (M[i,j])^T J"] == CONFIRMED
 
 
-def test_h_direct_basis_matches_nullspace_span():
-    for p in (1, 2):
-        result = h_algebra(p)
-        direct = h_matrix_basis(p)
-        assert len(direct) == result.dimension
-        n = 2 * p
-        red, pivots = linalg.rref([[y[r][c] for r in range(n) for c in range(n)]
-                                   for y in result.basis])
-        for y in direct:
-            vec = [y[r][c] for r in range(n) for c in range(n)]
-            assert not any(linalg.residual(red, pivots, vec))
+def test_in_h_matches_the_dense_defining_equation():
+    rng = random.Random(31)
+    members = 0
+    for _ in range(60):
+        p = rng.randint(1, 3)
+        n, jm = 2 * p, j_matrix(p)
+        y = [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:  # J^T S with S symmetric lies in h
+            s = [[y[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+            y = linalg.mat_mul(linalg.transpose(jm), s)
+        jy, ytj = linalg.mat_mul(jm, y), linalg.mat_mul(linalg.transpose(y), jm)
+        member = all(x + z == 0 for lr, rr in zip(jy, ytj) for x, z in zip(lr, rr))
+        assert slcontact._in_h(y) == member
+        members += member
+    assert 20 <= members < 60
+
+
+def test_j_transpose_symmetric_units_span_h():
+    for p in (1, 2, 3):
+        n, jt = 2 * p, linalg.transpose(j_matrix(p))
+        direct = []
+        for i in range(n):
+            for j in range(i, n):
+                s = [[F(int({r, c} == {i, j})) for c in range(n)] for r in range(n)]
+                direct.append([x for row in linalg.mat_mul(jt, s) for x in row])
+        kernel = [[x for row in y for x in row] for y in h_algebra(p).basis]
+        dim = p * (2 * p + 1)
+        assert linalg.rank(direct) == linalg.rank(kernel) == linalg.rank(direct + kernel) == dim
 
 
 # -- u-decomposition -----------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Every public function, method and class under src/contactforge has a caller there."""
+"""Every public function, method and class under src/contactforge has a caller
+there, and every public dataclass field there is read somewhere."""
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "contactforge"
+TESTS = pathlib.Path(__file__).resolve().parent
 
 # Public names kept without a caller under src/, each with the reason.
 ALLOWED = {
@@ -39,3 +41,24 @@ def test_the_allow_list_names_only_unreferenced_definitions():
     defined, referenced = _definitions_and_references()
     assert ALLOWED <= set(defined)
     assert not ALLOWED & referenced
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def test_every_public_dataclass_field_is_read_in_src_or_tests():
+    fields: dict[str, str] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and not stmt.target.id.startswith("_"):
+                        fields[f"{node.name}.{stmt.target.id}"] = f"{path.name}:{stmt.lineno}"
+    read = {node.attr
+            for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = {name: where for name, where in fields.items() if name.split(".")[1] not in read}
+    assert unread == {}
