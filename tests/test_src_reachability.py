@@ -49,6 +49,10 @@ def _is_dataclass(decorator) -> bool:
 
 
 def test_every_public_dataclass_field_is_read_in_src_or_tests():
+    """Fields are matched by bare name, not by owning class: a field counts as
+    read when any `x.<name>` load exists, whatever x is. So an unread field
+    whose name is read on another object (`p`, `n`, `basis`, `seed`, ...)
+    cannot fail here; the test catches only names read nowhere."""
     fields: dict[str, str] = {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
