@@ -437,7 +437,6 @@ class ClassSurvey:
     parity_all_odd: bool | None
     lower_bound_reference: int
     generic_rank_estimate: int
-    notes: list[str] = field(default_factory=list)
 
 
 def random_covector(g: LieAlg, rng: random.Random) -> Covector:
@@ -466,7 +465,7 @@ def class_survey(g: LieAlg, rank_hint: int, samples: int, seed: int) -> ClassSur
     max_obs = max(histogram)
     min_obs = min(histogram)
     parity_relevant = g.label.startswith("so(") or g.label.startswith("heisenberg")
-    survey = ClassSurvey(
+    return ClassSurvey(
         label=g.label,
         samples=samples,
         seed=seed,
@@ -480,12 +479,3 @@ def class_survey(g: LieAlg, rank_hint: int, samples: int, seed: int) -> ClassSur
         lower_bound_reference=2 * rank_hint,
         generic_rank_estimate=rank_estimate,
     )
-    survey.notes.append(
-        f"min observed class {min_obs} vs reference lower bound {2 * rank_hint} "
-        "(reported, not asserted: sampling bounds the maximum, not the minimum)"
-    )
-    if rank_estimate != rank_hint:
-        survey.notes.append(
-            f"generic centralizer estimate {rank_estimate} differs from rank hint {rank_hint}"
-        )
-    return survey

@@ -400,11 +400,10 @@ def structural_checks(p: int, frame: SLFrame | None = None) -> VerifyReport:
         "claimed",
     )
 
-    d_alpha = {ai: ext_d(frame.alpha[ai]) for ai in indices}  # once, not once per Y
     lie_failures = []
     for yi in indices:
         for ai in indices:
-            lform = lie_derivative(frame.Y[yi], frame.alpha[ai], d_alpha[ai])
+            lform = lie_derivative(frame.Y[yi], frame.alpha[ai])
             if any(not reduce_mod_principal(c, shift).is_zero for c in lform.terms.values()):
                 lie_failures.append((yi, ai))
     rep.check(
@@ -793,22 +792,19 @@ def h_algebra(p: int) -> SubalgebraResult:
     rep.check("h consists of traceless matrices", traceless, True, "derived",
               note="for p = 1 this recovers sl(2) exactly" if p == 1 else "")
 
-    j2 = j_matrix(1)
-
     def block(y, bi, bj):
         return [[y[2 * bi + r][2 * bj + c] for c in range(2)] for r in range(2)]
 
+    # J M J = -(J M J^T) for J = j_matrix(1): both rules compare -M[j,i] with J M J^T
     quoted_ok = True
     corrected_ok = True
     for y in basis:
         for bi in range(p):
             for bj in range(bi + 1, p):
                 mij = block(y, bi, bj)
-                mji = block(y, bj, bi)
-                if mji != linalg.mat_mul(linalg.mat_mul(j2, mij), j2):
-                    quoted_ok = False
-                if mji != linalg.mat_mul(linalg.mat_mul(j2, linalg.transpose(mij)), j2):
-                    corrected_ok = False
+                minus_mji = [[-x for x in row] for row in block(y, bj, bi)]
+                quoted_ok &= minus_mji == _times_jt(_j_times(mij))
+                corrected_ok &= minus_mji == _times_jt(_j_times(linalg.transpose(mij)))
     if p == 1:
         rep.add("block mirror rule (no off-diagonal blocks for p = 1)", True, True,
                 "derived", CONFIRMED)

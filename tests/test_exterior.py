@@ -164,6 +164,77 @@ def test_lie_derivative_right_field_kills_alpha(frame_p1):
     assert all(reduce_mod_principal(c, shift).is_zero for c in lform.terms.values())
 
 
+def cartan_lie(x: VField, f: Form) -> Form:
+    """Reference L_X f by the Cartan formula i(X) d f + d i(X) f, X(f) at degree 0."""
+    if f.degree == 0:
+        return Form.from_poly(x.apply(f.as_poly()))
+    return interior_product(x, ext_d(f)) + ext_d(interior_product(x, f))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_lie_derivative_matches_cartan_on_every_frame_pair(p, request):
+    frame = request.getfixturevalue(f"frame_p{p}")
+    nonzero = 0
+    for x in frame.X.values():
+        for alpha in frame.alpha.values():
+            got = lie_derivative(x, alpha)
+            assert got == cartan_lie(x, alpha)
+            nonzero += not got.is_zero
+    for y in frame.Y.values():
+        for alpha in frame.alpha.values():
+            assert lie_derivative(y, alpha).is_zero
+            assert cartan_lie(y, alpha).is_zero
+    assert nonzero > 0
+
+
+def test_lie_derivative_matches_cartan_on_a_p3_slice(frame_p3):
+    rng = random.Random(2503)
+    alphas = list(frame_p3.alpha.values())
+    nonzero = 0
+    for fields in (frame_p3.X, frame_p3.Y):
+        for x in rng.sample(list(fields.values()), 6):
+            for alpha in rng.sample(alphas, 4):
+                got = lie_derivative(x, alpha)
+                assert got == cartan_lie(x, alpha)
+                nonzero += not got.is_zero
+    assert nonzero > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**30),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([2, 3]),
+)
+def test_lie_derivative_matches_cartan_on_random_forms(seed, degree, size):
+    rng = random.Random(seed)
+    x = rand_vfield(rng, size)
+    f = rand_form(rng, degree, size)
+    assert lie_derivative(x, f) == cartan_lie(x, f)
+
+
+def test_lie_derivative_ignores_a_field_component_outside_the_matrix():
+    # as interior_product does: d/da[1,3] has no generator bit on a 2x2 matrix
+    x = VField(SIZE, {(1, 3): Poly.const(SIZE, 1), (2, 1): Poly.variable(SIZE, 1, 2)})
+    f = Form(SIZE, 1, {((1, 2),): Poly.variable(SIZE, 2, 1)})
+    assert lie_derivative(x, f) == cartan_lie(x, f)
+    assert not lie_derivative(x, f).is_zero
+
+
+def test_lie_derivative_calls_no_cartan_formula_code(monkeypatch, frame_p1):
+    import contactforge.exterior as exterior
+
+    x, alpha = frame_p1.X[(1, 2)], frame_p1.alpha[(2, 1)]
+    expected = cartan_lie(x, alpha)
+
+    def refuse(*args):
+        raise AssertionError("lie_derivative went through the Cartan formula")
+
+    monkeypatch.setattr(exterior, "ext_d", refuse)
+    monkeypatch.setattr(exterior, "interior_product", refuse)
+    assert lie_derivative(x, alpha) == expected
+
+
 def test_bracket_self_is_zero(frame_p1):
     x = frame_p1.X[(1, 2)]
     assert vf_bracket(x, x).is_zero
