@@ -29,7 +29,7 @@ def main(samples: int = 200, seed: int = 0) -> None:
         survey = class_survey(g, rank_hint, samples, seed)
         parity = (
             "all odd" if survey.parity_all_odd
-            else ("mixed" if survey.parity_checked else "n/a")
+            else ("mixed" if survey.parity_all_odd is not None else "n/a")
         )
         print(
             f"{g.label:16s} dim {g.dim:2d}  histogram {survey.histogram}  "

@@ -97,7 +97,7 @@ def _class_survey(args, frame) -> VerifyReport:
         "claimed",
         note=f"histogram {survey.histogram}",
     )
-    if survey.parity_checked:
+    if survey.parity_all_odd is not None:
         rep.check(
             "all observed classes odd (compact/nilpotent family)",
             survey.parity_all_odd,

@@ -425,15 +425,11 @@ def cartan_class_wedge(g: LieAlg, alpha: Covector) -> int:
 class ClassSurvey:
     """Histogram of sampled Cartan classes scored against the classical bounds."""
 
-    label: str
-    samples: int
-    seed: int
     histogram: dict[int, int]
     upper_bound: int
     max_observed: int
     min_observed: int
     upper_bound_ok: bool
-    parity_checked: bool
     parity_all_odd: bool | None
     lower_bound_reference: int
     generic_rank_estimate: int
@@ -466,15 +462,11 @@ def class_survey(g: LieAlg, rank_hint: int, samples: int, seed: int) -> ClassSur
     min_obs = min(histogram)
     parity_relevant = g.label.startswith("so(") or g.label.startswith("heisenberg")
     return ClassSurvey(
-        label=g.label,
-        samples=samples,
-        seed=seed,
         histogram=dict(sorted(histogram.items())),
         upper_bound=upper,
         max_observed=max_obs,
         min_observed=min_obs,
         upper_bound_ok=max_obs <= upper,
-        parity_checked=parity_relevant,
         parity_all_odd=(all(c % 2 == 1 for c in histogram) if parity_relevant else None),
         lower_bound_reference=2 * rank_hint,
         generic_rank_estimate=rank_estimate,

@@ -185,7 +185,6 @@ class PointClassReport:
     point: tuple
     cls: int
     magnitude: float
-    tol: float
 
 
 def pointwise_class(f: FormFn, point, tol: float = 1e-9) -> PointClassReport:
@@ -211,13 +210,13 @@ def pointwise_class(f: FormFn, point, tol: float = 1e-9) -> PointClassReport:
         power = _wedge(f.plans, power, dalpha)
     if best_p == 0:
         mag = _norm(alpha)
-        return PointClassReport(point, 1 if mag > tol else 0, mag, tol)
+        return PointClassReport(point, 1 if mag > tol else 0, mag)
     top = alpha
     for _ in range(best_p):
         top = _wedge(f.plans, top, dalpha)
     mag = _norm(top)
     cls = 2 * best_p + 1 if mag > tol else 2 * best_p
-    return PointClassReport(point, cls, mag, tol)
+    return PointClassReport(point, cls, mag)
 
 
 def grid_points(dim: int, per_axis: int):
@@ -248,9 +247,7 @@ SUBMAXIMAL_KEPT = 20  # submaximal points a ScanReport lists
 
 @dataclass
 class ScanReport:
-    form: str
     n_points: int
-    tol: float
     min_class: int
     max_class: int
     min_magnitude: float
@@ -279,9 +276,7 @@ def contact_scan(f: FormFn, points, tol: float = 1e-9) -> ScanReport:
     max_cls = max(first)
     submax = sorted(pair for cls, kept in first.items() if cls < max_cls for pair in kept)
     return ScanReport(
-        form=f.name,
         n_points=n_points,
-        tol=tol,
         min_class=min(first),
         max_class=max_cls,
         min_magnitude=min_mag,
@@ -291,9 +286,6 @@ def contact_scan(f: FormFn, points, tol: float = 1e-9) -> ScanReport:
 
 @dataclass
 class SingularScanReport:
-    form: str
-    n_points: int
-    tol: float
     invariance_max_diff: float
     sigma_candidates: list
     min_rank_off_sigma: int
@@ -360,9 +352,6 @@ def singular_scan(f: FormFn, directions, points, tol: float = 1e-9, seed: int = 
         else:
             min_rank_off = r if min_rank_off is None else min(min_rank_off, r)
     return SingularScanReport(
-        form=f.name,
-        n_points=len(pts),
-        tol=tol,
         invariance_max_diff=max_diff,
         sigma_candidates=sigma[:20],
         min_rank_off_sigma=min_rank_off if min_rank_off is not None else -1,

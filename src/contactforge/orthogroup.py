@@ -88,7 +88,6 @@ def induced_one_form(n: int) -> Form:
 class InducedFormReport:
     """Exact top-form data for the SO(3) contact check."""
 
-    n: int
     top_coefficient: Poly
     sample_values: list[Fraction]
     oriented_values: list[Fraction]
@@ -182,7 +181,6 @@ def so3_contact_check(samples: int = 50, seed: int = 0) -> InducedFormReport:
     )
 
     return InducedFormReport(
-        n=3,
         top_coefficient=coeff,
         sample_values=values,
         oriented_values=oriented,

@@ -78,14 +78,14 @@ def list_scan(f, points, tol=1e-9):
     classes = [r.cls for r in reports]
     max_cls = max(classes)
     submax = [r.point for r in reports if r.cls < max_cls][:20]
-    return ScanReport(f.name, len(reports), tol, min(classes), max_cls,
+    return ScanReport(len(reports), min(classes), max_cls,
                       min(r.magnitude for r in reports), submax)
 
 
 def test_contact_scan_matches_the_list_version(monkeypatch):
     def three_classes(f, point, tol=1e-9):
         point = tuple(point)
-        return PointClassReport(point, 1 + int(point[0] * 7) % 3, point[1], tol)
+        return PointClassReport(point, 1 + int(point[0] * 7) % 3, point[1])
 
     monkeypatch.setattr(numeric, "pointwise_class", three_classes)
     f = t3_form(1)

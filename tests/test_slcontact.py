@@ -123,6 +123,14 @@ def test_contact_identity_p2(frame_p2):
     assert result.report.ok
 
 
+def test_contact_identity_refutes_a_top_coefficient_det_does_not_divide(monkeypatch, frame_p1):
+    monkeypatch.setattr(slcontact, "divmod_principal", lambda f, g: (Poly.zero(2), f))
+    result = verify_contact_identity(1, frame_p1)
+    assert not result.is_contact and result.constant is None
+    assert not result.report.ok
+    assert result.report.claims[-1].anchor == "top coefficient divisible by det"
+
+
 # -- Reeb ---------------------------------------------------------------------
 
 
@@ -361,6 +369,52 @@ def test_j_transpose_symmetric_units_span_h():
         kernel = [[x for row in y for x in row] for y in h_algebra(p).basis]
         dim = p * (2 * p + 1)
         assert linalg.rank(direct) == linalg.rank(kernel) == linalg.rank(direct + kernel) == dim
+
+
+def _commutators_in_h(basis) -> bool:
+    """The closure check h_algebra derives: every commutator of a basis pair passes _in_h."""
+    return all(
+        slcontact._in_h(linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a)))
+        for i, a in enumerate(basis) for b in basis[i + 1:]
+    )
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_every_commutator_of_the_h_basis_lies_in_h(p):
+    assert _commutators_in_h(h_algebra(p).basis)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_commutator_check_refuses_a_basis_with_a_matrix_outside_h(p):
+    n = 2 * p
+    e11 = [[F(int(i == j == 0)) for j in range(n)] for i in range(n)]
+    assert not slcontact._in_h(e11)
+    assert not _commutators_in_h(h_algebra(p).basis + [e11])
+
+
+def test_j_times_a_bracket_of_h_members_is_tjs_minus_sjt():
+    rng = random.Random(26)
+    for p in (1, 2, 3):
+        n, jm = 2 * p, j_matrix(p)
+        for _ in range(5):
+            s, t = ([[F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+                    for _ in range(2))
+            s, t = ([[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)] for m in (s, t))
+            a, b = (linalg.mat_mul(linalg.transpose(jm), m) for m in (s, t))
+            bracket = linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+            lhs = linalg.mat_mul(jm, bracket)
+            rhs = linalg.mat_sub(linalg.mat_mul(linalg.mat_mul(t, jm), s),
+                                 linalg.mat_mul(linalg.mat_mul(s, jm), t))
+            assert lhs == rhs == linalg.transpose(rhs)
+            assert any(x for row in lhs for x in row)
+
+
+def test_h_algebra_forms_no_matrix_product(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("h_algebra called linalg.mat_mul")
+
+    monkeypatch.setattr(linalg, "mat_mul", refuse)
+    assert h_algebra(3).report.ok
 
 
 # -- u-decomposition -----------------------------------------------------------------

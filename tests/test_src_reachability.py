@@ -4,8 +4,9 @@ there, and every public dataclass field there is read somewhere."""
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "contactforge"
-TESTS = pathlib.Path(__file__).resolve().parent
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "contactforge"
+TESTS = ROOT / "tests"
 
 # Public names kept without a caller under src/, each with the reason.
 ALLOWED = {
@@ -43,25 +44,64 @@ def test_the_allow_list_names_only_unreferenced_definitions():
     assert not ALLOWED & referenced
 
 
+# Public field names defined in more than one dataclass: the field check below
+# cannot tell their owners apart, so each owner names a file and a line of it
+# that reads its field.
+SHARED_FIELDS = {
+    "p": {
+        "Suite": ("src/contactforge/cli.py", "if suite.p is not None:"),
+        "SLFrame": ("tests/test_slcontact.py", "gamma * F(1, 2 * frame.p)"),
+    },
+    "dim": {
+        "LieAlg": ("src/contactforge/liealg.py", "upper = g.dim - rank_hint + 1"),
+        "FormFn": ("src/contactforge/numeric.py", "if 2 * (best_p + 1) > f.dim:"),
+    },
+    "top_coefficient": {
+        "InducedFormReport": ("tests/test_orthogroup.py", "result.top_coefficient.evaluate"),
+        "ContactReport": ("tests/test_slcontact.py", "result.top_coefficient == frame_p1.delta"),
+    },
+    "report": {
+        "InducedFormReport": ("src/contactforge/cli.py", "so3_contact_check(a.samples, a.seed).report"),
+        "ContactReport": ("src/contactforge/cli.py", "verify_contact_identity(a.p, frame()).report"),
+        "ReebResult": ("src/contactforge/cli.py", "reeb_field(a.p, frame()).report"),
+        "SubalgebraResult": ("src/contactforge/cli.py", "h_algebra(a.p).report"),
+    },
+}
+
+
 def _is_dataclass(decorator) -> bool:
     target = decorator.func if isinstance(decorator, ast.Call) else decorator
     return isinstance(target, ast.Name) and target.id == "dataclass"
 
 
-def test_every_public_dataclass_field_is_read_in_src_or_tests():
-    """Fields are matched by bare name, not by owning class: a field counts as
-    read when any `x.<name>` load exists, whatever x is. So an unread field
-    whose name is read on another object (`p`, `n`, `basis`, `seed`, ...)
-    cannot fail here; the test catches only names read nowhere. A load whose
-    only use is as the receiver of `.append` or `.extend` writes the field and
-    does not count as a read."""
-    fields: dict[str, str] = {}
+def _dataclass_fields():
+    """(class, field, "file:line") for every public field of a dataclass under src/."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
                 for stmt in node.body:
                     if isinstance(stmt, ast.AnnAssign) and not stmt.target.id.startswith("_"):
-                        fields[f"{node.name}.{stmt.target.id}"] = f"{path.name}:{stmt.lineno}"
+                        yield node.name, stmt.target.id, f"{path.name}:{stmt.lineno}"
+
+
+def test_every_field_name_shared_by_dataclasses_is_listed_with_its_reads():
+    owners: dict[str, set[str]] = {}
+    for cls, name, _ in _dataclass_fields():
+        owners.setdefault(name, set()).add(cls)
+    shared = {name: classes for name, classes in owners.items() if len(classes) > 1}
+    assert shared == {name: set(reads) for name, reads in SHARED_FIELDS.items()}
+    for name, reads in SHARED_FIELDS.items():
+        for path, line in reads.values():
+            assert f".{name}" in line and line in (ROOT / path).read_text()
+
+
+def test_every_public_dataclass_field_is_read_in_src_or_tests():
+    """Fields are matched by bare name, not by owning class: a field counts as
+    read when any `x.<name>` load exists, whatever x is. A name defined in
+    more than one dataclass is therefore listed in SHARED_FIELDS with a read
+    for each owner. A load whose only use is as the receiver of `.append` or
+    `.extend` writes the field and does not count as a read."""
+    fields = {f"{cls}.{name}": where for cls, name, where in _dataclass_fields()}
     nodes = [node for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))]
     grown = {id(node.value) for node in nodes
