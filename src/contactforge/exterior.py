@@ -22,9 +22,10 @@ mask and sign rule serves Poly forms and the float forms in `numeric`:
 disjoint masks meet in their union, signed by the parity of the pairs
 (i in m1, j in m2) with i > j, one int.bit_count per pair (see
 `_above_parity`). `_wedge_masks` applies it to {mask: coeff} dicts in one
-fused loop; `_wedge_plan` compiles it once per pair of mask layouts into
-slots and signs, which `numeric` replays at every point of a scan with the
-same float operations in the same order.
+fused loop; `_wedge_plan` lays it out once per pair of mask layouts as
+slots and signs, from which `numeric` generates one straight-line class
+kernel per layout of nonzero float terms, with the same float operations in
+the same order.
 
 When every coefficient of both factors is a constant Poly, as in the powers
 (d omega)^k of the contact identity and in pointwise classes, `wedge` runs

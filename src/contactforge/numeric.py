@@ -6,21 +6,27 @@ together with analytically supplied partial derivatives; nothing here is ever
 differentiated numerically (finite differences appear only as a self-test in
 the suite). Class computations expand wedge powers combinatorially over the
 chart basis, which matches the wedge-power definition of the class directly
-and keeps the module dependency-free. Forms are {mask: float} dicts, with
+and keeps the module dependency-free. Terms are keyed by mask, with
 d theta_{i+1} as bit i, under the exact layer's mask and sign rule.
 
-Compiled plans: each pair of mask layouts is planned once by
-`exterior._wedge_plan` and compiled into one straight-line function of the two
-value lists, kept on the FormFn. Each result slot is the sum of its products in
-the order `exterior._wedge_masks` visits them, the first negated as -(f*g) and
-later negated ones subtracted, so results are bit-equal to that kernel.
+Compiled kernels: the whole class route of one layout of nonzero alpha and
+d alpha terms (the norm test and exit of each power (d alpha)^k, the running
+top alpha ^ d alpha ^ ... ^ d alpha and the returned class and magnitude) is
+generated as one straight-line function. Each wedge takes its slots, signs
+and summation order from `exterior._wedge_plan`: a slot is the sum of its
+products in the order `exterior._wedge_masks` visits them, the first negated
+as -(f*g) and later negated ones subtracted, so the floats are bit-equal to
+that kernel applied to {mask: float} dicts of the nonzero terms.
 
 Live partials: the built-in forms share the module's `_zero`, and a FormFn
-lists, once, the coefficients and d theta_i ^ d theta_j terms that do not
-reduce to it. `_alpha_dalpha` never calls `_zero` and calls only the other
-side of a term whose one side is `_zero`; since a - 0.0 == a, and 0.0 - b
-differs from -b only in the sign of a zero that the class drops anyway, the
-floats are unchanged.
+compiles, once, the kernel of the layout where every coefficient and
+d theta_i ^ d theta_j term that does not reduce to `_zero` is nonzero. That
+kernel calls each live function once, never `_zero`, and only the other side
+of a term whose one side is `_zero`; since a - 0.0 == a, and 0.0 - b differs
+from -b only in the sign of a zero that the class drops anyway, the floats are
+unchanged. A point where some live value is exactly 0.0 hands the values
+already computed to the kernel of the nonzero layout, generated the same way
+on first use and kept on the form; zero terms never enter a sum.
 """
 
 from __future__ import annotations
@@ -45,18 +51,17 @@ class FormFn:
     """1-form on a dim-dimensional chart: coefficients and their partials.
 
     coeff[i](point) is the coefficient of d theta_{i+1}; partial[i][j](point)
-    is its derivative along theta_{j+1}, supplied analytically. `plans` holds
-    the compiled wedge plans of the mask layouts its points have met; `_live`
-    holds (mask, coeff) for alpha and (mask, plus, minus) for d alpha, leaving
-    out `_zero` functions (a side that is `_zero` is None).
+    is its derivative along theta_{j+1}, supplied analytically. `_kernel` is
+    the class route compiled for the layout where every live term is nonzero;
+    `_layouts` keeps the kernels of the nonzero subsets its points have met.
     """
 
     dim: int
     name: str
     coeff: tuple
     partial: tuple
-    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _live: tuple = field(init=False, repr=False, compare=False)
+    _kernel: object = field(init=False, repr=False, compare=False)
+    _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.dim
@@ -64,15 +69,11 @@ class FormFn:
             raise ParameterError(f"{self.name}: {len(self.coeff)} coefficients, chart dimension is {n}")
         if len(self.partial) != n or any(len(row) != n for row in self.partial):
             raise ParameterError(f"{self.name}: partials are not {n} x {n}")
-        live = lambda fn: None if fn is _zero else fn
-        alpha = tuple((1 << i, c) for i, c in enumerate(self.coeff) if c is not _zero)
-        dalpha = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                plus, minus = live(self.partial[j][i]), live(self.partial[i][j])
-                if plus is not None or minus is not None:
-                    dalpha.append((1 << i | 1 << j, plus, minus))
-        object.__setattr__(self, "_live", (alpha, tuple(dalpha)))
+        alpha = [(1 << i, c) for i, c in enumerate(self.coeff) if c is not _zero]
+        dalpha = [(1 << i | 1 << j, self.partial[j][i], self.partial[i][j])
+                  for i in range(n) for j in range(i + 1, n)
+                  if self.partial[j][i] is not _zero or self.partial[i][j] is not _zero]
+        object.__setattr__(self, "_kernel", _live_kernel(self, alpha, dalpha))
 
 
 def t3_form(n1: int = 1) -> FormFn:
@@ -131,53 +132,99 @@ def t5_lutz_form() -> FormFn:
 BUILTIN_FORMS = {"t3": t3_form, "t5-lutz": t5_lutz_form}
 
 
-def _norm(f: dict) -> float:
-    return max(map(abs, f.values()), default=0.0)
+def _norm(names: list) -> str:
+    """Source of the max norm of a nonempty list of value names, in list order."""
+    return f"abs({names[0]})" if len(names) == 1 else f"max({', '.join(f'abs({v})' for v in names)})"
 
 
-def _compile(masks: list, rows: list):
-    """The plan (masks, rows) of `exterior._wedge_plan` as one function of
-    the value lists of f and g that returns the {mask: float} wedge."""
+def _wedge_lines(lines: list, f: list, g: list, prefix: str) -> list:
+    """Append the slots of f ^ g, for f and g lists of (mask, value name),
+    by the plan of `exterior._wedge_plan`; return the (mask, name) list of
+    the result."""
+    masks, rows = _wedge_plan([m for m, _ in f], [m for m, _ in g])
     products = [[] for _ in masks]
-    for i, row in enumerate(rows):
+    for (_, x), row in zip(f, rows):
         for j, slot, negate in row:
-            products[slot].append((f"f[{i}]*g[{j}]", negate))
-    slots = []
-    for mask, ((first, negate), *rest) in zip(masks, products):
+            products[slot].append((f"{x}*{g[j][1]}", negate))
+    out = []
+    for s, (mask, ((first, negate), *rest)) in enumerate(zip(masks, products)):
         expr = f"-({first})" if negate else first
         expr += "".join(f" - {p}" if neg else f" + {p}" for p, neg in rest)
-        slots.append(f"{mask}: {expr}")
-    # the source holds only the plan's masks and indices, never text from a caller
-    return eval(f"lambda f, g: {{{', '.join(slots)}}}", {"__builtins__": {}})
+        lines.append(f"{prefix}{s} = {expr}")
+        out.append((mask, f"{prefix}{s}"))
+    return out
 
 
-def _wedge(plans: dict, f: dict, g: dict) -> dict:
-    """f ^ g by the compiled plan of their mask layouts, built on first use."""
-    key = (tuple(f), tuple(g))
-    kernel = plans.get(key)
-    if kernel is None:
-        kernel = plans[key] = _compile(*_wedge_plan(*key))
-    return kernel(list(f.values()), list(g.values()))
+def _route(alpha: list, dalpha: list) -> list:
+    """Source lines of the class route for nonzero alpha and d alpha terms,
+    given as (mask, value name) lists: the norm test of each power
+    (d alpha)^k with its exit, the running top alpha ^ (d alpha)^k and the
+    returned (cls, magnitude). An empty layout has norm 0.0, which never
+    exceeds the positive tol, so its test is decided here."""
+    lines = []
+
+    def finish(p: int, top: list, indent: str = "") -> None:
+        lines.append(f"{indent}mag = {_norm([v for _, v in top]) if top else '0.0'}")
+        lines.append(f"{indent}return ({2 * p + 1} if mag > tol else {2 * p}), mag")
+
+    power, top, p = dalpha, alpha, 0
+    while power:  # a power above the chart dimension has no slots
+        lines.append(f"if not {_norm([v for _, v in power])} > tol:")
+        finish(p, top, "    ")
+        p += 1
+        top = _wedge_lines(lines, top, dalpha, f"t{p}_")
+        power = _wedge_lines(lines, power, dalpha, f"w{p + 1}_")
+    finish(p, top)
+    return lines
 
 
-def _alpha_dalpha(f: FormFn, point):
-    alpha_terms, dalpha_terms = f._live
-    alpha = {}
-    for mask, coeff in alpha_terms:
-        v = coeff(point)
-        if v:
-            alpha[mask] = v
-    dalpha = {}
-    for mask, plus, minus in dalpha_terms:
-        if minus is None:
-            v = plus(point)
-        elif plus is None:
-            v = -minus(point)
-        else:
-            v = plus(point) - minus(point)
-        if v:
-            dalpha[mask] = v
-    return alpha, dalpha
+def _compile(params: str, lines: list, namespace: dict):
+    """The function `kernel(params)` with these body lines; the source holds
+    only masks, indices and fixed names, never text from a caller."""
+    source = f"def kernel({params}):\n" + "".join(f"    {line}\n" for line in lines)
+    namespace = {"__builtins__": {}, "abs": abs, "max": max, **namespace}
+    exec(source, namespace)
+    return namespace["kernel"]
+
+
+def _live_kernel(form: FormFn, alpha: list, dalpha: list):
+    """kernel(point, tol) -> (cls, magnitude) for alpha = [(mask, coeff)] and
+    dalpha = [(mask, plus, minus)], calling each live function once. When a
+    value is 0.0 it hands the values to the kernel of the nonzero layout."""
+    calls = {}
+    lines = []
+    for k, (_, coeff) in enumerate(alpha):
+        calls[f"fa{k}"] = coeff
+        lines.append(f"a{k} = fa{k}(th)")
+    for k, (_, plus, minus) in enumerate(dalpha):
+        sides = []
+        if plus is not _zero:
+            calls[f"fp{k}"] = plus
+            sides.append(f"fp{k}(th)")
+        if minus is not _zero:
+            calls[f"fm{k}"] = minus
+            sides.append(f"fm{k}(th)")
+        lines.append(f"d{k} = {' - '.join(sides) if plus is not _zero else '-' + sides[0]}")
+    a_names = [f"a{k}" for k in range(len(alpha))]
+    d_names = [f"d{k}" for k in range(len(dalpha))]
+    if alpha or dalpha:
+        lines.append(f"if not ({' and '.join(a_names + d_names)}):")
+        lines.append(f"    return vanishing([{', '.join(a_names)}], [{', '.join(d_names)}], tol)")
+    alpha_masks = [m for m, _ in alpha]
+    dalpha_masks = [m for m, *_ in dalpha]
+
+    def vanishing(a: list, d: list, tol: float):
+        key = tuple(map(bool, a + d))
+        kernel = form._layouts.get(key)
+        if kernel is None:
+            live_a = [(m, f"a[{k}]") for k, m in enumerate(alpha_masks) if a[k]]
+            live_d = [(m, f"d[{k}]") for k, m in enumerate(dalpha_masks) if d[k]]
+            kernel = form._layouts[key] = _compile("a, d, tol", _route(live_a, live_d), {})
+        return kernel(a, d, tol)
+
+    calls["vanishing"] = vanishing
+    lines += _route(list(zip(alpha_masks, a_names)), list(zip(dalpha_masks, d_names)))
+    return _compile("th, tol", lines, calls)
 
 
 @dataclass
@@ -195,27 +242,12 @@ def pointwise_class(f: FormFn, point, tol: float = 1e-9) -> PointClassReport:
     """
     if not 0 < tol < math.inf:
         raise ParameterError(f"tolerance must be finite and positive, got {tol}")
-    point = tuple(float(x) for x in point)
+    point = tuple(map(float, point))
     if len(point) != f.dim:
         raise ParameterError(f"point has length {len(point)}, chart dimension is {f.dim}")
     if not all(map(math.isfinite, point)):
         raise ParameterError(f"point has a non-finite coordinate: {point}")
-    alpha, dalpha = _alpha_dalpha(f, point)
-    best_p = 0
-    power = dalpha
-    while _norm(power) > tol:
-        best_p += 1
-        if 2 * (best_p + 1) > f.dim:
-            break  # (d a)^(p+1) vanishes above the chart dimension
-        power = _wedge(f.plans, power, dalpha)
-    if best_p == 0:
-        mag = _norm(alpha)
-        return PointClassReport(point, 1 if mag > tol else 0, mag)
-    top = alpha
-    for _ in range(best_p):
-        top = _wedge(f.plans, top, dalpha)
-    mag = _norm(top)
-    cls = 2 * best_p + 1 if mag > tol else 2 * best_p
+    cls, mag = f._kernel(point, tol)
     return PointClassReport(point, cls, mag)
 
 
@@ -237,9 +269,10 @@ def grid_points(dim: int, per_axis: int):
 
 
 def random_points(dim: int, count: int, seed: int):
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
+    axes = range(dim)
     for _ in range(count):
-        yield tuple(rng.random() * TWO_PI for _ in range(dim))
+        yield tuple([draw() * TWO_PI for _ in axes])
 
 
 SUBMAXIMAL_KEPT = 20  # submaximal points a ScanReport lists

@@ -68,7 +68,6 @@ def matrix_point(a: linalg.Mat) -> dict[Var, Fraction]:
 class SLFrame:
     """Exact frame data on the ambient space of SL(2p)."""
 
-    p: int
     size: int
     delta: Poly
     d_delta: Form
@@ -167,7 +166,6 @@ def build_frame(p: int) -> SLFrame:
                 raise InternalCheckError(f"[X, Y({k},{k})] != 0; diagonal Y construction is wrong")
 
     return SLFrame(
-        p=p,
         size=n,
         delta=delta,
         d_delta=d_delta,

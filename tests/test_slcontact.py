@@ -486,7 +486,8 @@ def _u_difference(frame):
     gamma = Poly.zero(frame.size)
     for k in range(1, frame.size):
         gamma = gamma + u[(k, k)]
-    return recon - frame.omega, gamma * F(1, 2 * frame.p)
+    p = frame.size // 2
+    return recon - frame.omega, gamma * F(1, 2 * p)
 
 
 @pytest.mark.parametrize("p", [1, 2])

@@ -48,13 +48,9 @@ def test_the_allow_list_names_only_unreferenced_definitions():
 # cannot tell their owners apart, so each owner names a file and a line of it
 # that reads its field.
 SHARED_FIELDS = {
-    "p": {
-        "Suite": ("src/contactforge/cli.py", "if suite.p is not None:"),
-        "SLFrame": ("tests/test_slcontact.py", "gamma * F(1, 2 * frame.p)"),
-    },
     "dim": {
         "LieAlg": ("src/contactforge/liealg.py", "upper = g.dim - rank_hint + 1"),
-        "FormFn": ("src/contactforge/numeric.py", "if 2 * (best_p + 1) > f.dim:"),
+        "FormFn": ("src/contactforge/numeric.py", "if len(point) != f.dim:"),
     },
     "top_coefficient": {
         "InducedFormReport": ("tests/test_orthogroup.py", "result.top_coefficient.evaluate"),

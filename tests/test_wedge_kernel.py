@@ -13,8 +13,8 @@ import pytest
 from contactforge import config, exterior, numeric
 from contactforge.errors import DegreeError, DimensionError, TermLimitError
 from contactforge.exterior import Form, VField, _wedge_masks, ext_d, interior_product, wedge, wedge_power
-from contactforge.numeric import (_wedge, contact_scan, grid_points, pointwise_class, random_points,
-                                  t3_form, t5_lutz_form)
+from contactforge.numeric import (contact_scan, grid_points, pointwise_class, random_points, t3_form,
+                                  t5_lutz_form)
 from contactforge.polyring import Poly
 
 from conftest import rand_poly
@@ -312,11 +312,29 @@ def test_a_malformed_tuple_is_not_in_the_view(gens):
     assert form.coefficient(gens) == Poly.zero(3)
 
 
-@pytest.mark.parametrize("dim", [3, 5])
+def tabulated_form(rng: random.Random, dim: int, live: float = 0.7):
+    """A form whose coefficients and partials read a table filled per point:
+    each is `_zero` (not live) with probability 1 - live, and fill(point)
+    draws its live values, exactly 0.0 or -0.0 about a third of the time."""
+    table = {}
+    look = lambda key: (lambda th: table[th][key])
+    keys = [*range(dim), *((i, j) for i in range(dim) for j in range(dim) if i != j)]
+    fns = {key: look(key) if rng.random() < live else numeric._zero for key in keys}
+    form = numeric.FormFn(dim, "tabulated", tuple(fns[i] for i in range(dim)),
+                          tuple(tuple(fns.get((i, j), numeric._zero) for j in range(dim)) for i in range(dim)))
+
+    def fill(point):
+        table[point] = {key: rng.choice([0.0, -0.0, 1.0, -1.0, rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)])
+                        for key in keys}
+        return point
+
+    return form, fill
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7])
 def test_float_kernel_matches_the_tuple_merge_reference(dim):
     rng = random.Random(dim)
-    plans = {}  # shared across the pairs, so layouts of equal sizes meet in it
-    for _ in range(300):
+    for _ in range(300):  # the mask kernel on float forms of any degrees
         forms = []
         for _ in range(2):
             degree = rng.randint(0, dim)
@@ -326,15 +344,24 @@ def test_float_kernel_matches_the_tuple_merge_reference(dim):
                 form[key] = rng.choice([1.0, -1.0, rng.uniform(-2.0, 2.0)])
             forms.append(form)
         expected = reference_float_wedge(*forms)
-        masks = [{sum(1 << (i - 1) for i in key): c for key, c in form.items()}
-                 for form in forms]
-        # the plan route, with a fresh plan and with one built on other values
-        other = [{m: rng.uniform(-3.0, 3.0) for m in form} for form in masks]
-        _wedge(plans, *other)
-        for got in (_wedge_masks(*masks), _wedge({}, *masks), _wedge(plans, *masks)):
-            decoded = [(tuple(i + 1 for i in range(dim) if m >> i & 1), c.hex())
-                       for m, c in got.items()]
-            assert decoded == [(key, c.hex()) for key, c in expected.items()]
+        masks = [{sum(1 << (i - 1) for i in key): c for key, c in form.items()} for form in forms]
+        decoded = [(tuple(i + 1 for i in range(dim) if m >> i & 1), c.hex())
+                   for m, c in _wedge_masks(*masks).items()]
+        assert decoded == [(key, c.hex()) for key, c in expected.items()]
+    # the class kernels: random live layouts, and values of which random
+    # subsets vanish, so most points run a kernel of a nonzero subset; each
+    # point is checked twice, on a kernel built for it and on one built before
+    layouts = 0
+    for _ in range(12 if dim < 7 else 5):
+        form, fill = tabulated_form(rng, dim)
+        points = [fill((float(k),) * dim) for k in range(40 if dim < 7 else 12)]
+        for tol in (1e-9, 0.5):
+            for point in points + points:
+                got = pointwise_class(form, point, tol)
+                cls, mag = reference_pointwise_class(form, point, tol)
+                assert (got.cls, got.magnitude.hex()) == (cls, mag.hex())
+        layouts += len(form._layouts)
+    assert layouts >= 50
 
 
 @pytest.mark.parametrize("form, seed", [(t5_lutz_form(), 11), (t3_form(3), 12)],
@@ -362,14 +389,54 @@ def test_a_grid_scan_runs_new_plans_where_coefficients_vanish(monkeypatch):
     assert report.n_points == len(seen) == 512
     for cls, mag, expected in seen:
         assert (cls, mag) == expected
-    assert len(form.plans) > 1
+    assert len(form._layouts) >= 1  # the kernel of some layout where a live value is 0.0
+
+
+def test_t5_lutz_grid_points_where_coefficients_vanish_match_the_reference(monkeypatch):
+    form = t5_lutz_form()
+    first = []
+    for point in grid_points(5, 4):
+        got = pointwise_class(form, point)
+        cls, mag = reference_pointwise_class(form, point)
+        assert (got.cls, got.magnitude.hex()) == (cls, mag.hex())
+        first.append(got)
+    assert len(form._layouts) >= 1
+    # a second pass meets only layouts it has met: every kernel comes from the form
+    monkeypatch.setattr(numeric, "_compile", None)
+    assert [pointwise_class(form, point) for point in grid_points(5, 4)] == first
+
+
+def constant_form(dim: int, coeff: dict, dalpha: dict):
+    """The form with constant coefficients {i: value} and d alpha terms
+    {(i, j): value} for i < j, each given as the partial of coefficient j
+    along theta_{i+1}."""
+    zero = numeric._zero
+    const = lambda v: (lambda th: v)
+    return numeric.FormFn(dim, "constant", tuple(const(coeff[i]) if i in coeff else zero for i in range(dim)),
+                          tuple(tuple(const(dalpha[j, i]) if (j, i) in dalpha else zero for j in range(dim))
+                                for i in range(dim)))
 
 
 def test_a_layout_where_no_pair_meets_compiles_to_an_empty_wedge():
-    plans = {}
     for f, g in (({1: 2.0}, {1: 3.0}), ({3: 1.0, 5: -1.0}, {1: 2.0}), ({}, {3: 1.0}), ({1: 1.0}, {})):
-        assert _wedge(plans, f, g) == {} == _wedge_masks(f, g)
-    assert len(plans) == 4
+        assert _wedge_masks(f, g) == {}
+    # layouts whose top or power has no slots end with magnitude 0.0; with the
+    # values set to 0.0 the same forms run the kernel of the empty layout
+    for coeff, dalpha, expected in (
+        ({0: 2.0}, {(0, 1): 3.0}, (2, 0.0)),  # alpha ^ d alpha: every pair meets
+        ({0: 2.0}, {(0, 1): 3.0, (0, 2): -1.0}, (2, 0.0)),  # (d alpha)^2 as well
+        ({}, {(0, 1): 1.0}, (2, 0.0)),  # no alpha terms at all
+        ({0: 1.0}, {}, (1, 1.0)),  # no d alpha terms
+        ({}, {}, (0, 0.0)),  # the zero form
+    ):
+        form = constant_form(4, coeff, dalpha)
+        got = pointwise_class(form, (1.0, 2.0, 3.0, 4.0))
+        assert (got.cls, got.magnitude) == reference_pointwise_class(form, (1.0, 2.0, 3.0, 4.0)) == expected
+        assert not form._layouts
+        zeroed = constant_form(4, {i: 0.0 for i in coeff}, {ij: 0.0 for ij in dalpha})
+        got = pointwise_class(zeroed, (0.0,) * 4)
+        assert (got.cls, got.magnitude) == (0, 0.0)
+        assert len(zeroed._layouts) == bool(coeff or dalpha)
 
 
 def with_fresh_zeros(form):
@@ -383,23 +450,34 @@ def test_the_shared_zero_is_never_called_and_fresh_zero_lambdas_are(monkeypatch)
     zero_calls = []
     monkeypatch.setattr(numeric, "_zero", lambda th: zero_calls.append(th) or 0.0)
     form = t5_lutz_form()  # built with the counting zero as its shared zero
-    calls = {}
 
-    def counted(key, fn):
-        def call(th):
-            calls[key] = calls.get(key, 0) + 1
-            return fn(th)
-        return call
+    def counted(form, calls):
+        """A copy of the form whose functions other than the shared zero count their calls."""
+        def count(key, fn):
+            def call(th):
+                calls[key] = calls.get(key, 0) + 1
+                return fn(th)
+            return fn if fn is numeric._zero else call
+        return numeric.FormFn(
+            form.dim, form.name, tuple(count(i, c) for i, c in enumerate(form.coeff)),
+            tuple(tuple(count((i, j), d) for j, d in enumerate(row)) for i, row in enumerate(form.partial)))
 
-    fresh = with_fresh_zeros(form)
-    fresh = numeric.FormFn(
-        fresh.dim, fresh.name, tuple(counted(i, c) for i, c in enumerate(fresh.coeff)),
-        tuple(tuple(counted((i, j), d) for j, d in enumerate(row)) for i, row in enumerate(fresh.partial)))
-    point = (0.3, 1.1, 2.0, 0.4, 5.0)
-    assert pointwise_class(form, point) == pointwise_class(fresh, point)
-    assert not zero_calls
-    off_diagonal = [(i, j) for i in range(5) for j in range(5) if i != j]
-    assert calls == {**{i: 1 for i in range(5)}, **{key: 1 for key in off_diagonal}}
+    live = {(i, j) for i in range(5) for j in range(5) if form.partial[i][j] is not numeric._zero}
+    off_diagonal = {(i, j) for i in range(5) for j in range(5) if i != j}
+    assert len(live) == 10
+    # at th[0] = 0 the live coefficient -sin(th[0]) cos(th[0]) of d theta_2 is -0.0,
+    # so that point runs the kernel of a nonzero subset
+    vanishing = (0.0, 1.1, 2.0, 0.4, 5.0)
+    assert form.coeff[1](vanishing) == 0.0
+    for point in ((0.3, 1.1, 2.0, 0.4, 5.0), vanishing):
+        fresh_calls, live_calls = {}, {}
+        expected = pointwise_class(form, point)
+        assert pointwise_class(counted(with_fresh_zeros(form), fresh_calls), point) == expected
+        assert pointwise_class(counted(form, live_calls), point) == expected
+        assert not zero_calls
+        assert fresh_calls == {**{i: 1 for i in range(5)}, **{key: 1 for key in off_diagonal}}
+        assert live_calls == {**{i: 1 for i in range(5)}, **{key: 1 for key in live}}
+    assert len(form._layouts) == 1
 
 
 @pytest.mark.parametrize("form, seed", [(t5_lutz_form(), 21), (t3_form(2), 22)], ids=["t5-lutz", "t3-n1-2"])
@@ -421,14 +499,15 @@ def test_a_partial_returning_minus_zero_keeps_the_floats():
         ((zero, neg0, zero), (zero, zero, lambda th: math.cos(th[2])), (neg0, neg0, zero)),
     )
     fresh = with_fresh_zeros(form)
+    signed = 0
     for point in random_points(3, 500, 23):
-        live = numeric._alpha_dalpha(form, point)
-        every = numeric._alpha_dalpha(fresh, point)
-        for got, expected in zip(live, every):
-            assert [(m, v.hex()) for m, v in got.items()] == [(m, v.hex()) for m, v in expected.items()]
-        got, expected = pointwise_class(form, point), pointwise_class(fresh, point)
-        assert (got.cls, got.magnitude.hex()) == (expected.cls, expected.magnitude.hex())
-        assert (got.cls, got.magnitude) == reference_pointwise_class(form, point)
+        cls, mag = reference_pointwise_class(form, point)
+        for f in (form, fresh):
+            got = pointwise_class(f, point)
+            assert (got.cls, got.magnitude.hex()) == (cls, mag.hex())
+        signed += point[0] < math.pi
+    # the -0.0 values vanish like any zero: those points run a nonzero subset's kernel
+    assert signed >= 200 and len(form._layouts) == 1
 
 
 # -- the public constructor and the budget ---------------------------------------------
