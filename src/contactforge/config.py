@@ -32,6 +32,7 @@ def get_max_terms() -> int:
             value = int(env)
         except ValueError:
             raise TermLimitError(f"{ENV_VAR} is not an integer: {env!r}") from None
-        if value > 0:
-            return value
+        if value <= 0:
+            raise TermLimitError(f"{ENV_VAR} must be positive: {env!r}")
+        return value
     return DEFAULT_MAX_TERMS

@@ -2,17 +2,21 @@
 
 A matrix entry is an int or a Fraction; callers that accumulate over the
 integers (the Lie-algebra pairing and ad matrices) hand in int entries
-wherever a value is integral. One fraction-free (Bareiss) elimination over
-the integers serves rank, rref (and through it nullspace) and det/adj: rows
-are scaled to integers by the lcm of their denominators once, in one helper,
-which copies an all-int row as it is. rank eliminates forward only; rref and
-det/adj also clear above each pivot. The matrices in scope are small (tens of rows), so
-clarity beats asymptotics. Nothing here ever touches floating point.
+wherever a value is integral. mat_mul and det_adj return ints for all-int
+input, else Fractions, so a rational matrix held as an int matrix over one
+denominator (slcontact's sampled points) needs no Fraction. One
+fraction-free (Bareiss) elimination over the integers serves rank, rref
+(and through it nullspace) and det/adj: rows are scaled to integers by the
+lcm of their denominators once, in one helper, which copies an all-int row
+as it is. rank eliminates forward only; rref and det/adj also clear above
+each pivot. The matrices in scope are small (tens of rows), so clarity
+beats asymptotics. Nothing here ever touches floating point.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 Mat = list[list[int | Fraction]]
@@ -20,19 +24,23 @@ Vec = list[int | Fraction]
 
 
 def identity(n: int) -> Mat:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    """Product A B, accumulated over the integers on the nonzero entries only.
+    """Product A B; an int matrix, by dense dot products, when A and B are all ints.
 
-    Row k of B is scaled to integers by the lcm d_k of its denominators (once,
-    on first use). In each row of A the nonzero x_k / d_k are put on one
-    common denominator D, the integer weights times the integer rows of B are
+    Else it is accumulated over the integers on the nonzero entries only: row
+    k of B is scaled to integers by the lcm d_k of its denominators (once, on
+    first use). In each row of A the nonzero x_k / d_k are put on one common
+    denominator D, the integer weights times the integer rows of B are
     summed, and one Fraction(sum, D) is built per nonzero output entry.
     """
     inner, cols = len(b), len(b[0])
     assert all(len(r) == inner for r in a)
+    if all(type(x) is int for m in (a, b) for row in m for x in row):
+        columns = list(zip(*b))
+        return [[sum(map(operator.mul, row, col)) for col in columns] for row in a]
     scaled: list = [None] * inner  # row k of B as (d_k, [(j, d_k * B[k][j]) if nonzero])
     zero = Fraction(0)
     out = []
@@ -139,7 +147,7 @@ def rank(a: Mat) -> int:
     return len(_eliminate(_integer_rows(a)[0], False)[0])
 
 
-def det_adj(a: Mat) -> tuple[Fraction, Mat | None]:
+def det_adj(a: Mat) -> tuple[int | Fraction, Mat | None]:
     """det(A) and adj(A) from one fraction-free Gauss-Jordan elimination of [A | I].
 
     The rows of [A | I] are scaled to integers, the identity block with them.
@@ -147,16 +155,16 @@ def det_adj(a: Mat) -> tuple[Fraction, Mat | None]:
     columns. Then the left block ends as d I and the right block as d A^-1,
     so det(A) = sign * d / scale and adj(A) = sign * right / scale, sign
     being the parity of the row swaps and scale the product of the row lcms.
+    Both are ints when every entry of A is an int, else Fractions.
     """
     n = len(a)
     m, scale = _integer_rows([[*row, *(int(j == i) for j in range(n))] for i, row in enumerate(a)])
     pivots, sign, last = _eliminate(m, True)
+    ints = all(type(x) is int for row in a for x in row)
+    exact = (lambda v: v) if ints else (lambda v: Fraction(v, scale))
     if pivots[:n] != list(range(n)):
-        return Fraction(0), None
-    return (
-        Fraction(sign * last, scale),
-        [[Fraction(sign * x, scale) for x in row[n:]] for row in m],
-    )
+        return exact(0), None
+    return exact(sign * last), [[exact(sign * x) for x in row[n:]] for row in m]
 
 
 def nullspace(a: Mat) -> list[Vec]:

@@ -9,6 +9,7 @@ whole module stays polynomial and exact.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -453,28 +454,74 @@ def structural_checks(p: int, frame: SLFrame | None = None) -> VerifyReport:
 
 
 # -- samplers ---------------------------------------------------------------------
+# A sampled point is a pair (M, d), an int matrix over one int denominator
+# standing for a = M / d; every test on it below clears d, so builds no Fraction.
 
 
-def _cayley(s: linalg.Mat) -> linalg.Mat | None:
-    """(I - S)(I + S)^-1 as (I - S) adj(I + S) / det(I + S); None at a pole."""
-    n = len(s)
-    eye = linalg.identity(n)
-    plus = [[eye[i][j] + s[i][j] for j in range(n)] for i in range(n)]
-    minus = [[eye[i][j] - s[i][j] for j in range(n)] for i in range(n)]
+def _cayley(p: list[list[int]], q: int) -> tuple[list[list[int]], int] | None:
+    """(I - S)(I + S)^-1 for S = P / q as (M, d): (qI - P) adj(qI + P) and
+    det(qI + P), both divided by their gcd; None at a pole."""
+    plus = [[q * (i == j) + x for j, x in enumerate(row)] for i, row in enumerate(p)]
     d, adj = linalg.det_adj(plus)
     if adj is None:
         return None
-    return [[x / d for x in row] for row in linalg.mat_mul(minus, adj)]
+    minus = [[q * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(p)]
+    m = linalg.mat_mul(minus, adj)
+    g = math.gcd(d, *(x for row in m for x in row))
+    return [[x // g for x in row] for row in m], d // g
 
 
-def j_matrix(p: int) -> linalg.Mat:
-    """Block-diagonal J: p copies of [[0, 1], [-1, 0]]."""
-    n = 2 * p
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for b in range(p):
-        m[2 * b][2 * b + 1] = Fraction(1)
-        m[2 * b + 1][2 * b] = Fraction(-1)
-    return m
+def _sample_point(group: str, n: int, seed: int) -> tuple[list[list[int]], int]:
+    """Exact rational point (M, d) on SL(n), SO(n) or H(p) (pass p as n for H).
+
+    SL points come from unit-triangular integer factors, with d = 1. SO and H
+    points are Cayley transforms of rational matrices in their Lie algebras:
+    random skew S for SO, and J^T S with S random symmetric for H (J (J^T S) = S
+    is symmetric, so J^T S lies in h), drawn over the upper triangle as q S,
+    q the lcm of the denominators. A Cayley pole triggers a deterministic resample.
+    """
+    if group == "SL":
+        rng = random.Random(_mix_seed(1, n, seed))
+        lower = linalg.identity(n)
+        upper = linalg.identity(n)
+        for i in range(n):
+            for j in range(n):
+                if i > j:
+                    lower[i][j] = rng.randint(-3, 3)
+                elif i < j:
+                    upper[i][j] = rng.randint(-3, 3)
+        return linalg.mat_mul(lower, upper), 1
+    if group not in ("SO", "H"):
+        raise ParameterError(f"unknown group {group!r}")
+    skew = group == "SO"
+    size, top = (n, 9) if skew else (2 * n, 4)
+    for attempt in range(100):
+        rng = random.Random(_mix_seed(2 if skew else 3, n, seed, attempt))
+        draws = {(i, j): (rng.randint(-top, top), rng.randint(1, top))
+                 for i in range(size) for j in range(i + skew, size)}
+        q = math.lcm(*(b for _, b in draws.values()))
+        s = [[0] * size for _ in range(size)]
+        for (i, j), (a, b) in draws.items():
+            s[i][j] = a * (q // b)
+            s[j][i] = -s[i][j] if skew else s[i][j]
+        point = _cayley(s if skew else _jt_times(s), q)
+        if point is not None:
+            return point
+    raise ParameterError(f"could not sample an {group} point (persistent Cayley pole)")
+
+
+def sample_group_point(group: str, n: int, seed: int) -> linalg.Mat:
+    """The point (M, d) of _sample_point as the Fraction matrix M / d."""
+    m, d = _sample_point(group, n, seed)
+    return [[Fraction(x, d) for x in row] for row in m]
+
+
+def _sl_nonorthogonal(n: int, seed: int) -> list[list[int]]:
+    for attempt in range(100):
+        m, _ = _sample_point("SL", n, _mix_seed(seed, attempt))
+        if not _orthogonal(m, 1):
+            return m
+    raise ParameterError("could not sample a non-orthogonal SL point")
 
 
 # J is a signed permutation: it swaps the two indices of each pair (2b, 2b+1),
@@ -497,13 +544,18 @@ def _times_jt(m: linalg.Mat) -> linalg.Mat:
     return [[row[c ^ 1] if c % 2 == 0 else -row[c ^ 1] for c in range(len(row))] for row in m]
 
 
-def is_orthogonal(a: linalg.Mat) -> bool:
-    return linalg.mat_mul(linalg.transpose(a), a) == linalg.identity(len(a))
+def _scalar(n: int, c: int) -> list[list[int]]:
+    return [[c * x for x in row] for row in linalg.identity(n)]
 
 
-def preserves_j(a: linalg.Mat) -> bool:
-    """tA J A == J, with J = j_matrix(len(a) // 2) applied as a signed permutation."""
-    return linalg.mat_mul(linalg.transpose(a), _j_times(a)) == j_matrix(len(a) // 2)
+def _orthogonal(m: list[list[int]], d: int) -> bool:
+    """a = M / d is orthogonal: tM M = d^2 I."""
+    return linalg.mat_mul(linalg.transpose(m), m) == _scalar(len(m), d * d)
+
+
+def _preserves_j(m: list[list[int]], d: int) -> bool:
+    """tA J A = J for a = M / d: tM J M = d^2 J, J applied as a signed permutation."""
+    return linalg.mat_mul(linalg.transpose(m), _j_times(m)) == _j_times(_scalar(len(m), d * d))
 
 
 def _in_h(y: linalg.Mat) -> bool:
@@ -511,62 +563,6 @@ def _in_h(y: linalg.Mat) -> bool:
     tJ = -J makes JY + tY J = JY - t(JY)."""
     jy = _j_times(y)
     return jy == linalg.transpose(jy)
-
-
-def sample_group_point(group: str, n: int, seed: int) -> linalg.Mat:
-    """Exact rational point on SL(n), SO(n) or H(p) (pass p as n for H).
-
-    SL points come from unit-triangular integer factors, SO and H points from
-    Cayley transforms of rational matrices in their Lie algebras: random skew
-    S for SO, and J^T S with S random symmetric for H (J (J^T S) = S is
-    symmetric, so J^T S lies in h). A Cayley pole triggers a deterministic
-    resample.
-    """
-    if group == "SL":
-        rng = random.Random(_mix_seed(1, n, seed))
-        lower = linalg.identity(n)
-        upper = linalg.identity(n)
-        for i in range(n):
-            for j in range(n):
-                if i > j:
-                    lower[i][j] = Fraction(rng.randint(-3, 3))
-                elif i < j:
-                    upper[i][j] = Fraction(rng.randint(-3, 3))
-        return linalg.mat_mul(lower, upper)
-    if group == "SO":
-        for attempt in range(100):
-            rng = random.Random(_mix_seed(2, n, seed, attempt))
-            s = [[Fraction(0)] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    v = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                    s[i][j] = v
-                    s[j][i] = -v
-            a = _cayley(s)
-            if a is not None:
-                return a
-        raise ParameterError("could not sample an SO point (persistent Cayley pole)")
-    if group == "H":
-        p, n = n, 2 * n
-        for attempt in range(100):
-            rng = random.Random(_mix_seed(3, p, seed, attempt))
-            s = [[Fraction(0)] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    s[i][j] = s[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-            a = _cayley(_jt_times(s))
-            if a is not None:
-                return a
-        raise ParameterError("could not sample an H point (persistent Cayley pole)")
-    raise ParameterError(f"unknown group {group!r}")
-
-
-def sample_sl_nonorthogonal(n: int, seed: int) -> linalg.Mat:
-    for attempt in range(100):
-        a = sample_group_point("SL", n, _mix_seed(seed, attempt))
-        if not is_orthogonal(a):
-            return a
-    raise ParameterError("could not sample a non-orthogonal SL point")
 
 
 # -- invariance loci ---------------------------------------------------------------
@@ -601,29 +597,22 @@ def left_locus_equations(frame: SLFrame) -> dict[Var, Poly]:
     return equations
 
 
-def locus_values(a: linalg.Mat, side: str) -> list[Fraction]:
-    """The left or right locus equations evaluated at an invertible point a.
+def _locus_zero(m: list[list[int]], d: int, adj: list[list[int]], side: str) -> bool:
+    """The left or right locus equations vanish at a = M / d, given adj = adj(M).
 
-    The value on da[i,j] is the coefficient of the identity covector,
-    transported to a with the adjugate as the inverse, minus that of omega at
-    a. With B = J^T the coefficient matrix of omega at the identity, omega at
-    a is a B, the left transport is adj(a)^T B and the right transport is
-    B adj(a)^T; the values are their differences, row-major, in the order of
-    left_locus_equations.
+    The equations are the coefficients of the identity covector, transported
+    to a with the adjugate as the inverse, minus those of omega at a. With
+    B = J^T the coefficient matrix of omega at the identity, omega at a is
+    a B, the left transport is adj(a)^T B and the right one B adj(a)^T. As
+    adj(a) = adj(M) / d^(n-1), the left equations vanish when
+    adj(M)^T = d^(n-2) M and the right ones when J^T adj(M)^T = d^(n-2) M J^T.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return _locus_values(a, linalg.det_adj(a)[1], side)
-
-
-def _locus_values(a: linalg.Mat, adj: linalg.Mat | None, side: str) -> list[Fraction]:
-    """locus_values from an adjugate of a already at hand (None: a is singular)."""
-    if adj is None:
-        raise ParameterError("locus values need an invertible point")
-    adj_t = linalg.transpose(adj)
-    moved = _times_jt(adj_t) if side == "left" else _jt_times(adj_t)
-    here = _times_jt(a)
-    return [x - y for row_m, row_h in zip(moved, here) for x, y in zip(row_m, row_h)]
+    scale = d ** (len(m) - 2)
+    moved = linalg.transpose(adj)
+    here = [[scale * x for x in row] for row in m]
+    if side == "right":
+        moved, here = _jt_times(moved), _times_jt(here)
+    return moved == here
 
 
 def invariance_loci(
@@ -633,8 +622,9 @@ def invariance_loci(
 
     The left locus must cut out exactly the orthogonal points, the right
     locus exactly the J-preserving points; for p = 1 the right locus is all
-    of SL(2). Every point value comes from locus_values. For p <= 2 the left
-    equations are also built symbolically once, to check their stated shape.
+    of SL(2). Every point is an int pair (M, d) and every test on it is
+    decided on ints. For p <= 2 the left equations are also built
+    symbolically once, to check their stated shape.
     """
     if p < 1:
         raise ParameterError("p must be >= 1")
@@ -654,12 +644,12 @@ def invariance_loci(
 
     so_failures = []
     for k in range(samples):
-        a = sample_group_point("SO", n, _mix_seed(seed, k))
-        d, adj = linalg.det_adj(a)
-        if not is_orthogonal(a) or d != 1:
+        m, d = _sample_point("SO", n, _mix_seed(seed, k))
+        det, adj = linalg.det_adj(m)
+        if not _orthogonal(m, d) or det != d ** n:
             so_failures.append((k, "sampler produced a non-SO point"))
             continue
-        if any(_locus_values(a, adj, "left")):
+        if not _locus_zero(m, d, adj, "left"):
             so_failures.append((k, "left equations do not vanish"))
     rep.check(
         f"left locus holds at {samples} sampled SO({n}) points",
@@ -670,8 +660,8 @@ def invariance_loci(
 
     nonorth_failures = []
     for k in range(samples):
-        a = sample_sl_nonorthogonal(n, _mix_seed(seed, k))
-        if not any(locus_values(a, "left")):
+        m = _sl_nonorthogonal(n, _mix_seed(seed, k))
+        if _locus_zero(m, 1, linalg.det_adj(m)[1], "left"):
             nonorth_failures.append(k)
     rep.check(
         f"left locus fails at {samples} non-orthogonal SL({n}) points",
@@ -683,12 +673,12 @@ def invariance_loci(
 
     h_failures = []
     for k in range(samples):
-        a = sample_group_point("H", p, _mix_seed(seed, k))
-        d, adj = linalg.det_adj(a)
-        if not preserves_j(a) or d != 1:
+        m, d = _sample_point("H", p, _mix_seed(seed, k))
+        det, adj = linalg.det_adj(m)
+        if not _preserves_j(m, d) or det != d ** n:
             h_failures.append((k, "sampler produced a point outside H"))
             continue
-        if any(_locus_values(a, adj, "right")):
+        if not _locus_zero(m, d, adj, "right"):
             h_failures.append((k, "right equations do not vanish"))
     rep.check(
         f"right locus holds at {samples} sampled H points",
@@ -700,8 +690,8 @@ def invariance_loci(
     if p == 1:
         sl_failures = []
         for k in range(samples):
-            a = sample_group_point("SL", n, _mix_seed(seed, k, 7))
-            if any(locus_values(a, "right")) or not preserves_j(a):
+            m, _ = _sample_point("SL", n, _mix_seed(seed, k, 7))
+            if not _locus_zero(m, 1, linalg.det_adj(m)[1], "right") or not _preserves_j(m, 1):
                 sl_failures.append(k)
         rep.check(
             "for p = 1 the right locus holds at arbitrary SL(2) points (H = SL(2))",
@@ -712,10 +702,10 @@ def invariance_loci(
     else:
         nonh_failures = []
         for k in range(samples):
-            a = sample_sl_nonorthogonal(n, _mix_seed(seed, k, 11))
-            if preserves_j(a):
+            m = _sl_nonorthogonal(n, _mix_seed(seed, k, 11))
+            if _preserves_j(m, 1):
                 continue  # exceedingly unlikely; skip rather than miscount
-            if not any(locus_values(a, "right")):
+            if _locus_zero(m, 1, linalg.det_adj(m)[1], "right"):
                 nonh_failures.append(k)
         rep.check(
             f"right locus fails at {samples} sampled non-H SL({n}) points",
@@ -787,7 +777,7 @@ def h_algebra(p: int) -> SubalgebraResult:
     def block(y, bi, bj):
         return [[y[2 * bi + r][2 * bj + c] for c in range(2)] for r in range(2)]
 
-    # J M J = -(J M J^T) for J = j_matrix(1): both rules compare -M[j,i] with J M J^T
+    # J M J = -(J M J^T) for J = [[0, 1], [-1, 0]]: both rules compare -M[j,i] with J M J^T
     quoted_ok = True
     corrected_ok = True
     for y in basis:

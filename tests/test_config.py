@@ -26,6 +26,10 @@ def test_budget_env_var(monkeypatch):
     monkeypatch.setenv(config.ENV_VAR, "junk")
     with pytest.raises(TermLimitError):
         config.get_max_terms()
+    for value in ("0", "-3"):
+        monkeypatch.setenv(config.ENV_VAR, value)
+        with pytest.raises(TermLimitError):
+            config.get_max_terms()
     monkeypatch.delenv(config.ENV_VAR)
     assert config.get_max_terms() == config.DEFAULT_MAX_TERMS
 

@@ -19,15 +19,10 @@ from contactforge.slcontact import (
     h_algebra,
     identity_point,
     invariance_loci,
-    is_orthogonal,
-    j_matrix,
     left_locus_equations,
-    locus_values,
     matrix_point,
-    preserves_j,
     reeb_field,
     sample_group_point,
-    sample_sl_nonorthogonal,
     structural_checks,
     u_decomposition,
     verify_contact_identity,
@@ -196,6 +191,104 @@ def test_duality_examples_p1(frame_p1):
     assert val2.is_zero
 
 
+# -- Fraction references for the int point path -------------------------------------
+
+
+def j_matrix(p):
+    """Block-diagonal J: p copies of [[0, 1], [-1, 0]]."""
+    n = 2 * p
+    m = [[F(0)] * n for _ in range(n)]
+    for b in range(p):
+        m[2 * b][2 * b + 1] = F(1)
+        m[2 * b + 1][2 * b] = F(-1)
+    return m
+
+
+def is_orthogonal(a):
+    return linalg.mat_mul(linalg.transpose(a), a) == linalg.identity(len(a))
+
+
+def preserves_j(a):
+    """tA J A == J, with the dense J."""
+    jm = j_matrix(len(a) // 2)
+    return linalg.mat_mul(linalg.transpose(a), linalg.mat_mul(jm, a)) == jm
+
+
+def _cayley(s):
+    """(I - S)(I + S)^-1 as (I - S) adj(I + S) / det(I + S); None at a pole."""
+    n = len(s)
+    plus = [[int(i == j) + s[i][j] for j in range(n)] for i in range(n)]
+    minus = [[int(i == j) - s[i][j] for j in range(n)] for i in range(n)]
+    d, adj = linalg.det_adj(plus)
+    if adj is None:
+        return None
+    return [[x / d for x in row] for row in linalg.mat_mul(minus, adj)]
+
+
+def reference_sample(group, n, seed):
+    """The sampler on Fraction matrices: the same rng calls in the same order."""
+    if group == "SL":
+        rng = random.Random(slcontact._mix_seed(1, n, seed))
+        lower = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        upper = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i > j:
+                    lower[i][j] = F(rng.randint(-3, 3))
+                elif i < j:
+                    upper[i][j] = F(rng.randint(-3, 3))
+        return linalg.mat_mul(lower, upper)
+    if group == "SO":
+        for attempt in range(100):
+            rng = random.Random(slcontact._mix_seed(2, n, seed, attempt))
+            s = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    v = F(rng.randint(-9, 9), rng.randint(1, 9))
+                    s[i][j] = v
+                    s[j][i] = -v
+            a = _cayley(s)
+            if a is not None:
+                return a
+    p, n = n, 2 * n
+    jt = linalg.transpose(j_matrix(p))
+    for attempt in range(100):
+        rng = random.Random(slcontact._mix_seed(3, p, seed, attempt))
+        s = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                s[i][j] = s[j][i] = F(rng.randint(-4, 4), rng.randint(1, 4))
+        a = _cayley(linalg.mat_mul(jt, s))
+        if a is not None:
+            return a
+
+
+def sample_sl_nonorthogonal(n, seed):
+    for attempt in range(100):
+        a = reference_sample("SL", n, slcontact._mix_seed(seed, attempt))
+        if not is_orthogonal(a):
+            return a
+
+
+def locus_values(a, side):
+    """The left or right locus equations at an invertible point a, with dense
+    products: B = J^T is the coefficient matrix of omega at the identity,
+    omega at a is a B, the left transport adj(a)^T B, the right one B adj(a)^T."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    adj = linalg.det_adj(a)[1]
+    if adj is None:
+        raise ParameterError("locus values need an invertible point")
+    b, adj_t = linalg.transpose(j_matrix(len(a) // 2)), linalg.transpose(adj)
+    moved = linalg.mat_mul(adj_t, b) if side == "left" else linalg.mat_mul(b, adj_t)
+    here = linalg.mat_mul(a, b)
+    return [x - y for row_m, row_h in zip(moved, here) for x, y in zip(row_m, row_h)]
+
+
+def as_fractions(m, d):
+    return [[F(x, d) for x in row] for row in m]
+
+
 # -- samplers -----------------------------------------------------------------------
 
 
@@ -231,6 +324,61 @@ def test_nonorthogonal_sampler():
         a = sample_sl_nonorthogonal(4, seed)
         assert linalg.det_adj(a)[0] == 1
         assert not is_orthogonal(a)
+        assert slcontact._sl_nonorthogonal(4, seed) == a
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_int_points_equal_the_fraction_reference_sampler(p):
+    n = 2 * p
+    for group, size in (("SL", n), ("SO", n), ("H", p)):
+        for seed in range(20):
+            m, d = slcontact._sample_point(group, size, seed)
+            assert all(type(x) is int for row in m for x in row) and type(d) is int
+            assert d == 1 or group != "SL"
+            view = sample_group_point(group, size, seed)
+            assert as_fractions(m, d) == view == reference_sample(group, size, seed)
+
+
+def _int_point(a):
+    """A rational matrix as (M, d) over the lcm d of its denominators."""
+    d = math.lcm(*(F(x).denominator for row in a for x in row))
+    return [[int(x * d) for x in row] for row in a], d
+
+
+def _points_on_and_off_the_groups(p, seeds):
+    """(M, d) at SO, H, non-orthogonal SL and non-H SL points, and each SO and
+    H point with d doubled, so a = M / d lies on no group and has det != 1."""
+    n = 2 * p
+    points = []
+    for seed in seeds:
+        points.append(slcontact._sample_point("SO", n, seed))
+        points.append(slcontact._sample_point("H", p, seed))
+        points.append((slcontact._sl_nonorthogonal(n, seed), 1))
+        points.append((slcontact._sl_nonorthogonal(n, slcontact._mix_seed(seed, 11)), 1))
+    return points + [(m, 2 * d) for m, d in points[:2 * len(seeds)]]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_int_predicates_agree_with_the_fraction_references(p):
+    n = 2 * p
+    outcomes = {name: set() for name in ("orthogonal", "preserves_j", "det 1", "left", "right")}
+    for m, d in _points_on_and_off_the_groups(p, range(6)):
+        a = as_fractions(m, d)
+        det, adj = linalg.det_adj(m)
+        verdicts = {
+            "orthogonal": (slcontact._orthogonal(m, d), is_orthogonal(a)),
+            "preserves_j": (slcontact._preserves_j(m, d), preserves_j(a)),
+            "det 1": (det == d ** n, linalg.det_adj(a)[0] == 1),
+            "left": (slcontact._locus_zero(m, d, adj, "left"), not any(locus_values(a, "left"))),
+            "right": (slcontact._locus_zero(m, d, adj, "right"), not any(locus_values(a, "right"))),
+        }
+        for name, (by_ints, by_fractions) in verdicts.items():
+            assert by_ints == by_fractions, (name, m, d)
+            outcomes[name].add(by_ints)
+    # adj(a)^T = J a J^T for every 2 x 2 matrix a, so at p = 1 the right
+    # equations vanish at every invertible point
+    assert outcomes.pop("right") == ({True} if p == 1 else {True, False})
+    assert all(seen == {True, False} for seen in outcomes.values()), outcomes
 
 
 # -- invariance loci -----------------------------------------------------------------
@@ -297,6 +445,40 @@ def test_locus_values_match_symbolic_equations(p, frame_p1, frame_p2):
         pt = matrix_point(a)
         assert locus_values(a, "left") == [eq.evaluate(pt) for eq in left.values()]
         assert locus_values(a, "right") == [eq.evaluate(pt) for eq in right.values()]
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_int_verdicts_match_the_symbolic_equations(p, frame_p1, frame_p2):
+    frame = frame_p1 if p == 1 else frame_p2
+    left = left_locus_equations(frame)
+    right = right_locus_equations(frame)
+    rng = random.Random(p)
+    points = _points_on_and_off_the_groups(p, range(3))
+    points += [_int_point(_invertible(rng, 2 * p)) for _ in range(5)]
+    seen = set()
+    for m, d in points:
+        pt = matrix_point(as_fractions(m, d))
+        adj = linalg.det_adj(m)[1]
+        for side, eqs in (("left", left), ("right", right)):
+            zero = slcontact._locus_zero(m, d, adj, side)
+            assert zero == all(eq.evaluate(pt) == 0 for eq in eqs.values())
+            seen.add((side, zero))
+    assert len(seen) == (3 if p == 1 else 4)  # p = 1: the right equations always vanish
+
+
+def test_the_p3_point_path_builds_no_fraction(monkeypatch):
+    """At p = 3 no frame is built, so every Fraction would come from the points."""
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    assert invariance_loci(3, 20, 0).ok
+    assert made == []
+    assert Fraction(1, 3) and made == [(1, 3)]
 
 
 def test_locus_values_p3_cut_out_so6_and_h():
