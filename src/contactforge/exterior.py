@@ -22,10 +22,9 @@ mask and sign rule serves Poly forms and the float forms in `numeric`:
 disjoint masks meet in their union, signed by the parity of the pairs
 (i in m1, j in m2) with i > j, one int.bit_count per pair (see
 `_above_parity`). `_wedge_masks` applies it to {mask: coeff} dicts in one
-fused loop; `_wedge_plan` lays it out once per pair of mask layouts as
-slots and signs, from which `numeric` generates one straight-line class
-kernel per layout of nonzero float terms, with the same float operations in
-the same order.
+fused loop, the only wedge traversal: `numeric` runs it on source text to
+generate one straight-line class kernel per layout of nonzero float terms,
+with the same float operations in the same order.
 
 When every coefficient of both factors is a constant Poly, as in the powers
 (d omega)^k of the contact identity and in pointwise classes, `wedge` runs
@@ -61,11 +60,14 @@ def _above_parity(mask: int) -> int:
 
 
 def _wedge_masks(f: dict, g: dict, limit: float = math.inf) -> dict:
-    """Wedge of two {mask: coeff} forms with Poly or float coefficients.
+    """Wedge of two {mask: coeff} forms with Poly, scalar or float coefficients.
 
-    Coefficients are only multiplied, negated and added; zero sums stay in
-    the result for the caller to drop. Raises TermLimitError once the result
-    holds more than `limit` terms after a row of f.
+    Coefficients are only multiplied, added, subtracted and negated: a
+    product of odd sign opens its slot negated and is subtracted after, so
+    coefficients that only format text trace the operations as source
+    (`numeric`'s kernels). Zero sums stay in the result for the caller to
+    drop. Raises TermLimitError once the result holds more than `limit`
+    terms after a row of f.
     """
     out: dict = {}
     get = out.get
@@ -76,30 +78,15 @@ def _wedge_masks(f: dict, g: dict, limit: float = math.inf) -> dict:
             if m1 & m2:
                 continue
             prod = c1 * c2
-            if (above & m2).bit_count() & 1:
-                prod = -prod
             key = m1 | m2
             acc = get(key)
-            out[key] = prod if acc is None else acc + prod
+            if (above & m2).bit_count() & 1:
+                out[key] = -prod if acc is None else acc - prod
+            else:
+                out[key] = prod if acc is None else acc + prod
         if len(out) > limit:
             raise TermLimitError(f"wedge expansion reached {len(out)} terms (budget {limit})")
     return out
-
-
-def _wedge_plan(fkeys, gkeys) -> tuple[list, list]:
-    """The layout of `_wedge_masks` for forms with these masks, for reuse.
-
-    Returns the result masks in order of first appearance and, for each mask
-    of f, the (index in g, result slot, negate) of the masks of g it meets,
-    in the order `_wedge_masks` visits the pairs.
-    """
-    slots: dict = {}
-    rows = []
-    for m1 in fkeys:
-        above = _above_parity(m1)
-        rows.append([(j, slots.setdefault(m1 | m2, len(slots)), (above & m2).bit_count() & 1)
-                     for j, m2 in enumerate(gkeys) if not m1 & m2])
-    return list(slots), rows
 
 
 def _scalars(f: dict[int, Poly]) -> dict | None:

@@ -11,9 +11,9 @@ reads that table, borders d(alpha) with alpha and eliminates it over the
 integers one generator pair at a time, each live entry a Pfaffian on the
 pivots plus two rows, by Knuth's overlapping-Pfaffian identity: O(dim^3)
 steps instead of the 2^dim Pfaffians of the divided-power chain. Matrix
-bases (sl, so) yield their structure constants from only the products that
-can be nonzero. Surveys draw seeded random covectors and score them against
-the classical bounds.
+bases (sl, so) are int matrices and yield their structure constants from
+only the products that can be nonzero. Surveys draw seeded random
+covectors and score them against the classical bounds.
 """
 
 from __future__ import annotations
@@ -133,14 +133,16 @@ def _validate_jacobi(g: LieAlg) -> None:
 # -- builders -----------------------------------------------------------------
 
 
-def _from_matrix_basis(basis: list[list[list[Fraction]]], coords, label: str) -> LieAlg:
+def _from_matrix_basis(basis: list[list[list[int]]], coords, label: str) -> LieAlg:
     """Structure constants from an explicit matrix basis and a linear coordinate map.
 
     coords is linear, so [A, B] has coordinates coords(AB) - coords(BA); only
     the coordinates where the two products differ are subtracted. AB is zero
     unless a nonzero column of A meets a nonzero row of B (row and column
     sets are bitmasks), so linalg.mat_mul computes only the products that can
-    be nonzero, and a pair with neither is skipped.
+    be nonzero, and a pair with neither is skipped. The basis matrices are
+    int matrices, so every product is one, and each bracket component is
+    made a Fraction once.
     """
     dim = len(basis)
     rows = [sum(1 << r for r, row in enumerate(m) if any(row)) for m in basis]
@@ -154,14 +156,14 @@ def _from_matrix_basis(basis: list[list[list[Fraction]]], coords, label: str) ->
                 continue
             ab = coords(linalg.mat_mul(basis[i], basis[j])) if meet_ab else zero
             ba = coords(linalg.mat_mul(basis[j], basis[i])) if meet_ba else zero
-            comp = {k + 1: x - y for k, (x, y) in enumerate(zip(ab, ba)) if x != y}
+            comp = {k + 1: Fraction(x - y) for k, (x, y) in enumerate(zip(ab, ba)) if x != y}
             if comp:
                 brackets[(i + 1, j + 1)] = comp
     return LieAlg(dim, brackets, label)
 
 
-def _unit_matrix(n: int, r: int, c: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == r and j == c)) for j in range(n)] for i in range(n)]
+def _unit_matrix(n: int, r: int, c: int) -> list[list[int]]:
+    return [[int(i == r and j == c) for j in range(n)] for i in range(n)]
 
 
 def sl_basis_indices(n: int) -> list[tuple[int, int]]:
@@ -179,7 +181,7 @@ def sl_algebra(n: int) -> LieAlg:
     for (k, l) in sl_basis_indices(n):
         if k == l:
             m = _unit_matrix(n, k - 1, k - 1)
-            m[n - 1][n - 1] = Fraction(-1)
+            m[n - 1][n - 1] = -1
             basis.append(m)
         else:
             basis.append(_unit_matrix(n, k - 1, l - 1))
@@ -187,7 +189,7 @@ def sl_algebra(n: int) -> LieAlg:
     pos = {kl: t for t, kl in enumerate(order)}
 
     def coords(m):
-        out = [Fraction(0)] * len(order)
+        out = [0] * len(order)
         for (k, l), t in pos.items():
             if k == l:
                 out[t] = m[k - 1][k - 1]

@@ -2,9 +2,10 @@
 
 A matrix entry is an int or a Fraction; callers that accumulate over the
 integers (the Lie-algebra pairing and ad matrices) hand in int entries
-wherever a value is integral. mat_mul and det_adj return ints for all-int
-input, else Fractions, so a rational matrix held as an int matrix over one
-denominator (slcontact's sampled points) needs no Fraction. One
+wherever a value is integral. mat_mul takes dense dot products, so an entry
+is an int when its row and column are all ints, and det_adj returns ints for
+all-int input, else Fractions: a rational matrix held as an int matrix over
+one denominator (slcontact's sampled points) needs no Fraction. One
 fraction-free (Bareiss) elimination over the integers serves rank, rref
 (and through it nullspace) and det/adj: rows are scaled to integers by the
 lcm of their denominators once, in one helper, which copies an all-int row
@@ -28,40 +29,11 @@ def identity(n: int) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    """Product A B; an int matrix, by dense dot products, when A and B are all ints.
-
-    Else it is accumulated over the integers on the nonzero entries only: row
-    k of B is scaled to integers by the lcm d_k of its denominators (once, on
-    first use). In each row of A the nonzero x_k / d_k are put on one common
-    denominator D, the integer weights times the integer rows of B are
-    summed, and one Fraction(sum, D) is built per nonzero output entry.
-    """
-    inner, cols = len(b), len(b[0])
-    assert all(len(r) == inner for r in a)
-    if all(type(x) is int for m in (a, b) for row in m for x in row):
-        columns = list(zip(*b))
-        return [[sum(map(operator.mul, row, col)) for col in columns] for row in a]
-    scaled: list = [None] * inner  # row k of B as (d_k, [(j, d_k * B[k][j]) if nonzero])
-    zero = Fraction(0)
-    out = []
-    for row in a:
-        terms = []
-        for k, x in enumerate(row):
-            if x:
-                if scaled[k] is None:
-                    nz = [(j, y) for j, y in enumerate(b[k]) if y]
-                    lcm = math.lcm(*(y.denominator for _, y in nz))
-                    scaled[k] = (lcm, [(j, y.numerator * (lcm // y.denominator)) for j, y in nz])
-                lcm, entries = scaled[k]
-                terms.append((x.numerator, x.denominator * lcm, entries))
-        common = math.lcm(*(d for _, d, _ in terms))
-        acc = [0] * cols
-        for num, d, entries in terms:
-            w = num * (common // d)
-            for j, y in entries:
-                acc[j] += w * y
-        out.append([Fraction(v, common) if v else zero for v in acc])
-    return out
+    """Product A B by dense dot products; an entry is an int when its row of A
+    and column of B are all ints."""
+    assert all(len(r) == len(b) for r in a)  # zip would truncate a short row
+    columns = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in columns] for row in a]
 
 
 def transpose(a: Mat) -> Mat:
@@ -72,21 +44,24 @@ def mat_sub(a: Mat, b: Mat) -> Mat:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def _integer_rows(a: Mat) -> tuple[list[list[int]], int]:
-    """Each row times the lcm of its denominators; returns (integer rows, product of the lcms).
+def _integer_rows(a: Mat) -> tuple[list[list[int]], int, bool]:
+    """Each row times the lcm of its denominators; returns (integer rows,
+    product of the lcms, whether every row was all ints).
 
     An all-int row has lcm 1 and is copied unchanged.
     """
     rows = []
     scale = 1
+    ints = True
     for row in a:
         if all(type(x) is int for x in row):
             rows.append(list(row))
             continue
+        ints = False
         lcm = math.lcm(*(x.denominator for x in row))
         scale *= lcm
         rows.append([x.numerator * (lcm // x.denominator) for x in row])
-    return rows, scale
+    return rows, scale, ints
 
 
 def _eliminate(m: list[list[int]], jordan: bool) -> tuple[list[int], int, int]:
@@ -134,7 +109,7 @@ def _eliminate(m: list[list[int]], jordan: bool) -> tuple[list[int], int, int]:
 
 def rref(a: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form (non-destructive); returns (R, pivot columns)."""
-    m, _ = _integer_rows(a)
+    m = _integer_rows(a)[0]
     pivots, _, last = _eliminate(m, True)
     zero = Fraction(0)
     cols = len(m[0]) if m else 0
@@ -158,9 +133,8 @@ def det_adj(a: Mat) -> tuple[int | Fraction, Mat | None]:
     Both are ints when every entry of A is an int, else Fractions.
     """
     n = len(a)
-    m, scale = _integer_rows([[*row, *(int(j == i) for j in range(n))] for i, row in enumerate(a)])
+    m, scale, ints = _integer_rows([[*row, *(int(j == i) for j in range(n))] for i, row in enumerate(a)])
     pivots, sign, last = _eliminate(m, True)
-    ints = all(type(x) is int for row in a for x in row)
     exact = (lambda v: v) if ints else (lambda v: Fraction(v, scale))
     if pivots[:n] != list(range(n)):
         return exact(0), None

@@ -12,11 +12,10 @@ d theta_{i+1} as bit i, under the exact layer's mask and sign rule.
 Compiled kernels: the whole class route of one layout of nonzero alpha and
 d alpha terms (the norm test and exit of each power (d alpha)^k, the running
 top alpha ^ d alpha ^ ... ^ d alpha and the returned class and magnitude) is
-generated as one straight-line function. Each wedge takes its slots, signs
-and summation order from `exterior._wedge_plan`: a slot is the sum of its
-products in the order `exterior._wedge_masks` visits them, the first negated
-as -(f*g) and later negated ones subtracted, so the floats are bit-equal to
-that kernel applied to {mask: float} dicts of the nonzero terms.
+generated as one straight-line function. Each wedge is
+`exterior._wedge_masks` itself, run once on the value names as source text,
+so the floats are bit-equal to that kernel applied to {mask: float} dicts of
+the nonzero terms.
 
 Live partials: the built-in forms share the module's `_zero`, and a FormFn
 compiles, once, the kernel of the layout where every coefficient and
@@ -36,7 +35,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import ParameterError
-from .exterior import _wedge_plan
+from .exterior import _wedge_masks
 
 TWO_PI = 2.0 * math.pi
 
@@ -137,19 +136,31 @@ def _norm(names: list) -> str:
     return f"abs({names[0]})" if len(names) == 1 else f"max({', '.join(f'abs({v})' for v in names)})"
 
 
+class _Src(str):
+    """Source text of a float expression; the operators `_wedge_masks` uses
+    only format it. Every product is name*name, so no parentheses are due
+    but those of a negation."""
+
+    def __mul__(self, other):
+        return _Src(f"{self}*{other}")
+
+    def __neg__(self):
+        return _Src(f"-({self})")
+
+    def __add__(self, other):
+        return _Src(f"{self} + {other}")
+
+    def __sub__(self, other):
+        return _Src(f"{self} - {other}")
+
+
 def _wedge_lines(lines: list, f: list, g: list, prefix: str) -> list:
-    """Append the slots of f ^ g, for f and g lists of (mask, value name),
-    by the plan of `exterior._wedge_plan`; return the (mask, name) list of
-    the result."""
-    masks, rows = _wedge_plan([m for m, _ in f], [m for m, _ in g])
-    products = [[] for _ in masks]
-    for (_, x), row in zip(f, rows):
-        for j, slot, negate in row:
-            products[slot].append((f"{x}*{g[j][1]}", negate))
+    """Append the slots of f ^ g, for f and g lists of (mask, value name), as
+    `exterior._wedge_masks` sums them; return the (mask, name) list of the
+    result."""
+    slots = _wedge_masks({m: _Src(x) for m, x in f}, {m: _Src(x) for m, x in g})
     out = []
-    for s, (mask, ((first, negate), *rest)) in enumerate(zip(masks, products)):
-        expr = f"-({first})" if negate else first
-        expr += "".join(f" - {p}" if neg else f" + {p}" for p, neg in rest)
+    for s, (mask, expr) in enumerate(slots.items()):
         lines.append(f"{prefix}{s} = {expr}")
         out.append((mask, f"{prefix}{s}"))
     return out

@@ -401,6 +401,22 @@ def test_structure_constants_equal_the_full_commutator_construction(monkeypatch)
         assert all(type(v) is F for comp in g.brackets.values() for v in comp.values())
 
 
+def test_the_lie_builders_hand_mat_mul_only_ints(monkeypatch):
+    operands = []
+    mat_mul = linalg.mat_mul
+
+    def spy(a, b):
+        operands.extend((a, b))
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", spy)
+    for kind, ns in (("sl", range(2, 7)), ("so", range(3, 9))):
+        for n in ns:
+            build_algebra(kind, n)
+    assert len(operands) > 100
+    assert all(type(x) is int for m in operands for row in m for x in row)
+
+
 def test_prefilter_keeps_every_product_that_can_be_nonzero():
     # the so(3) axis generators overlap in rows and columns both ways; E12, E23
     # meet one way only ([E12, E23] = E13); E12, E34 never meet

@@ -4,6 +4,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from contactforge import linalg
 
 
@@ -179,12 +181,17 @@ def test_mat_mul_equals_dense_triple_sum():
             for i in range(rows)
         ]
         assert product == dense
-        if any(type(x) is Fraction for m in (a, b) for row in m for x in row):
-            assert all(type(x) is Fraction for row in product for x in row)
-        else:
+        if not any(type(x) is Fraction for m in (a, b) for row in m for x in row):
             assert all(type(x) is int for row in product for x in row)
             all_int += 1
     assert zero_lines >= 60 and all_int >= 10
+
+
+def test_mat_mul_refuses_mismatched_shapes():
+    # zip would truncate the longer side and return a wrong product
+    for a, b in (([[1, 2]], [[1], [2], [3]]), ([[1, 2, 3]], [[1], [2]]), ([[1], [1, 2]], [[1, 2]])):
+        with pytest.raises(AssertionError):
+            linalg.mat_mul(a, b)
 
 
 def test_rank_with_mixed_denominators_and_zero_rows():

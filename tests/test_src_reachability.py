@@ -1,5 +1,6 @@
-"""Every public function, method and class under src/contactforge has a caller
-there, and every public dataclass field there is read somewhere."""
+"""Every public function, method and class under src/contactforge, and every
+private module-level function and class there, has a caller there, and every
+public dataclass field there is read somewhere."""
 
 import ast
 import pathlib
@@ -35,6 +36,20 @@ def test_every_public_definition_is_referenced_under_src():
     public = {name: where for name, where in defined.items() if not name.startswith("_")}
     unreached = {name: where for name, where in public.items()
                  if name not in referenced and name not in ALLOWED}
+    assert unreached == {}
+
+
+def test_every_private_module_level_definition_is_referenced_under_src():
+    _, referenced = _definitions_and_references()
+    private = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    private.setdefault(name, []).append(f"{path.name}:{node.lineno}")
+    assert private  # the scan sees the module-level helpers
+    unreached = {name: where for name, where in private.items() if name not in referenced}
     assert unreached == {}
 
 
