@@ -1,22 +1,21 @@
 """Resource guard for symbolic expansions.
 
 Any product whose term count would exceed the budget aborts with
-TermLimitError instead of thrashing. The budget can be set programmatically,
-through the CONTACTFORGE_MAX_TERMS environment variable, or per CLI run.
+TermLimitError instead of thrashing. The budget is DEFAULT_MAX_TERMS unless
+set_max_terms overrides it; the CLI sets it per run from `--max-terms`, whose
+default is the CONTACTFORGE_MAX_TERMS environment variable. The library reads
+no environment.
 """
 
-import os
-
-from .errors import ParameterError, TermLimitError
+from .errors import ParameterError
 
 DEFAULT_MAX_TERMS = 5_000_000
-ENV_VAR = "CONTACTFORGE_MAX_TERMS"
 
 _override: int | None = None
 
 
 def set_max_terms(limit: int | None) -> None:
-    """Set the term budget; None restores the environment/default value."""
+    """Set the term budget; None restores the default."""
     global _override
     if limit is not None and limit <= 0:
         raise ParameterError("term budget must be positive")
@@ -24,15 +23,4 @@ def set_max_terms(limit: int | None) -> None:
 
 
 def get_max_terms() -> int:
-    if _override is not None:
-        return _override
-    env = os.environ.get(ENV_VAR)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise TermLimitError(f"{ENV_VAR} is not an integer: {env!r}") from None
-        if value <= 0:
-            raise TermLimitError(f"{ENV_VAR} must be positive: {env!r}")
-        return value
-    return DEFAULT_MAX_TERMS
+    return DEFAULT_MAX_TERMS if _override is None else _override

@@ -85,12 +85,6 @@ class SLFrame:
                                    for r in range(1, n + 1)])
 
 
-def _tangent(grad: dict[Var, Poly], fld: VField) -> bool:
-    """fld(det) = 0, read as the contraction sum_v fld^v grad[v] with grad the
-    coefficients of d(det)."""
-    return sum_of_products(fld.size, [(1, c, grad[v]) for v, c in fld.coeffs.items()]).is_zero
-
-
 def build_frame(p: int) -> SLFrame:
     """Construct the frame and run its construction-time checks.
 
@@ -99,8 +93,7 @@ def build_frame(p: int) -> SLFrame:
     A[i,k] da[i,l] with A the unsigned minors, and omega pairs consecutive
     columns. Tangency X(det) = Y(det) = 0 and commutation [X, Y_diag] = 0 are
     verified on the spot. Tangency is read by contraction, X(det) =
-    sum_v X^v d(det)[v], once d(det) has been matched against the cofactor
-    lemma.
+    i(X) d(det), once d(det) has been matched against the cofactor lemma.
     """
     if p < 1:
         raise ParameterError("p must be >= 1")
@@ -152,12 +145,11 @@ def build_frame(p: int) -> SLFrame:
     if d_delta != lemma_form:
         raise InternalCheckError("d(det) does not match the signed-cofactor expansion")
 
-    grad = {var: d_delta.coefficient((var,)) for var in row_major_vars(n)}
     for kl, x in x_fields.items():
-        if not _tangent(grad, x):
+        if not interior_product(x, d_delta).is_zero:
             raise InternalCheckError(f"X{kl} is not tangent to the det = 1 level set")
     for kl, y in y_fields.items():
-        if not _tangent(grad, y):
+        if not interior_product(y, d_delta).is_zero:
             raise InternalCheckError(f"Y{kl} is not tangent to the det = 1 level set")
     # the row-wise diagonal fields are only pinned down by commutation
     for k in range(1, n):

@@ -287,6 +287,35 @@ def test_term_guard_exit_3(capsys):
     assert run(["verify-contact", "--p", "2", "--max-terms", "5"]) == 3
 
 
+_BUDGETED = [
+    ["verify-contact", "--p", "1"],
+    ["cartan-class", "--algebra", "sl", "--n", "2"],
+    ["scan", "--form", "t3", "--points", "10"],
+    ["invariance", "--p", "3", "--samples", "1"],
+]
+
+
+@pytest.mark.parametrize("value", ["junk", "0", "-3"])
+@pytest.mark.parametrize("argv", _BUDGETED, ids=lambda argv: argv[0])
+def test_malformed_budget_variable_is_a_usage_error_before_any_work(argv, value, monkeypatch, capsys):
+    monkeypatch.setenv("CONTACTFORGE_MAX_TERMS", value)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no suite ran
+    assert "--max-terms" in captured.err and "Traceback" not in captured.err
+
+
+def test_budget_variable_sets_the_default_and_the_flag_beats_it(monkeypatch, capsys):
+    monkeypatch.setenv("CONTACTFORGE_MAX_TERMS", "1")
+    assert run(["verify-contact", "--p", "1"]) == 3
+    assert run(["cartan-class", "--algebra", "sl", "--n", "2"]) == 0  # forms no Poly product
+    assert config.get_max_terms() == config.DEFAULT_MAX_TERMS  # the run's budget ends with it
+    monkeypatch.setenv("CONTACTFORGE_MAX_TERMS", "junk")
+    assert run(["verify-contact", "--p", "1", "--max-terms", "5000000"]) == 0
+    monkeypatch.setenv("CONTACTFORGE_MAX_TERMS", "")  # empty reads as unset
+    assert run(["verify-contact", "--p", "1"]) == 0
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.sampled_from(
     ["--p", "--seed", "--samples", "reeb", "verify-contact", "nonsense", "-3",
