@@ -255,8 +255,6 @@ SUITES: dict[str, Suite] = {
 
 
 def _parser() -> argparse.ArgumentParser:
-    # argparse runs `type` on a string default, so the variable is checked like the flag
-    budget = os.environ.get("CONTACTFORGE_MAX_TERMS") or None
     parser = argparse.ArgumentParser(
         prog="contactforge",
         description="Exact verification suites for contact structures on matrix groups.",
@@ -271,7 +269,7 @@ def _parser() -> argparse.ArgumentParser:
         for flags, kwargs in suite.args:
             sp.add_argument(*flags, **kwargs)
         sp.add_argument("--json", metavar="PATH", help="write the report as JSON")
-        sp.add_argument("--max-terms", type=positive_int, default=budget,
+        sp.add_argument("--max-terms", type=positive_int,
                         help="term budget for symbolic expansions (default: "
                              f"$CONTACTFORGE_MAX_TERMS, else {config.DEFAULT_MAX_TERMS})")
     return parser
@@ -288,7 +286,15 @@ def _run_suite(suite: Suite, args, frame) -> VerifyReport:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    budget = os.environ.get("CONTACTFORGE_MAX_TERMS")
+    if args.max_terms is None and budget:  # the flag beats the variable; empty reads as unset
+        try:
+            args.max_terms = positive_int(budget)
+        except (ValueError, argparse.ArgumentTypeError):
+            parser.error(f"argument --max-terms: its default $CONTACTFORGE_MAX_TERMS is {budget!r}, "
+                         "not an integer >= 1")
     frame = functools.cache(lambda: build_frame(args.p))
     if args.command == "all":
         steps = [

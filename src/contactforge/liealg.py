@@ -177,25 +177,18 @@ def sl_algebra(n: int) -> LieAlg:
     """sl(n) in the elementary-matrix frame E[k,k] - E[n,n] and E[k,l]."""
     if n < 2:
         raise InvalidAlgebraError("sl(n) needs n >= 2")
+    order = sl_basis_indices(n)
     basis = []
-    for (k, l) in sl_basis_indices(n):
+    for (k, l) in order:
         if k == l:
             m = _unit_matrix(n, k - 1, k - 1)
             m[n - 1][n - 1] = -1
             basis.append(m)
         else:
             basis.append(_unit_matrix(n, k - 1, l - 1))
-    order = sl_basis_indices(n)
-    pos = {kl: t for t, kl in enumerate(order)}
 
-    def coords(m):
-        out = [0] * len(order)
-        for (k, l), t in pos.items():
-            if k == l:
-                out[t] = m[k - 1][k - 1]
-            else:
-                out[t] = m[k - 1][l - 1]
-        return out
+    def coords(m):  # a traceless m has m[k][k] on E[k,k] - E[n,n]
+        return [m[k - 1][l - 1] for k, l in order]
 
     return _from_matrix_basis(basis, coords, f"sl({n})")
 

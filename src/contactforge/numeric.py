@@ -30,6 +30,7 @@ on first use and kept on the form; zero terms never enter a sum.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -265,18 +266,8 @@ def pointwise_class(f: FormFn, point, tol: float = 1e-9) -> PointClassReport:
 def grid_points(dim: int, per_axis: int):
     if per_axis < 1:
         raise ParameterError("grid needs at least one point per axis")
-    idx = [0] * dim
-    while True:
+    for idx in itertools.product(range(per_axis), repeat=dim):
         yield tuple(TWO_PI * t / per_axis for t in idx)
-        d = dim - 1
-        while d >= 0:
-            idx[d] += 1
-            if idx[d] < per_axis:
-                break
-            idx[d] = 0
-            d -= 1
-        if d < 0:
-            return
 
 
 def random_points(dim: int, count: int, seed: int):

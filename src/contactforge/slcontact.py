@@ -91,9 +91,9 @@ def build_frame(p: int) -> SLFrame:
     X[k,l] = sum_i a[i,k] d/da[i,l] (with the diagonal fields relative to the
     last column), Y is the row-wise mirror, alpha[k,l] = sum_i (-1)^(i+k)
     A[i,k] da[i,l] with A the unsigned minors, and omega pairs consecutive
-    columns. Tangency X(det) = Y(det) = 0 and commutation [X, Y_diag] = 0 are
-    verified on the spot. Tangency is read by contraction, X(det) =
-    i(X) d(det), once d(det) has been matched against the cofactor lemma.
+    columns. Tangency X(det) = Y(det) = 0 is verified on the spot by
+    contraction, X(det) = i(X) d(det), once d(det) matches the cofactor
+    lemma; [X, Y] = 0 is left to structural_checks, which claims it.
     """
     if p < 1:
         raise ParameterError("p must be >= 1")
@@ -151,12 +151,6 @@ def build_frame(p: int) -> SLFrame:
     for kl, y in y_fields.items():
         if not interior_product(y, d_delta).is_zero:
             raise InternalCheckError(f"Y{kl} is not tangent to the det = 1 level set")
-    # the row-wise diagonal fields are only pinned down by commutation
-    for k in range(1, n):
-        ykk = y_fields[(k, k)]
-        for x in x_fields.values():
-            if not vf_bracket(x, ykk).is_zero:
-                raise InternalCheckError(f"[X, Y({k},{k})] != 0; diagonal Y construction is wrong")
 
     return SLFrame(
         size=n,
@@ -282,12 +276,13 @@ def reeb_field(p: int, frame: SLFrame | None = None) -> ReebResult:
 
     The candidate R = numerator / (4 det) is checked by exact contraction:
     i(4 det R) d omega = 2 d(det) and omega(4 det R) = -2p det, so
-    omega(R) = -p/2 and R_norm = normalizer * R with normalizer = -2/p. The
-    kernel claim i(R_norm) d omega ^ d(det) = 0 is derived without a wedge:
-    i(normalized_numerator) d omega is computed exactly and compared with
-    (normalizer / 2) d(det), the value the first identity predicts. When
-    they agree the wedge is (normalizer / 2) d(det) ^ d(det) = 0, so the
-    claim is confirmed; when they do not it is refuted, as not established.
+    omega(R) = -p/2 and R_norm = normalizer * R with normalizer = -2/p.
+    Contraction is linear in the field, so the claims on R_norm rescale those
+    two contractions by normalizer / 4 rather than contract again. The kernel
+    claim i(R_norm) d omega ^ d(det) = 0 is derived without a wedge: it holds
+    when i(normalized_numerator) d omega is (normalizer / 2) d(det), for then
+    the wedge is (normalizer / 2) d(det) ^ d(det) = 0; otherwise it is
+    refuted, as not established.
     """
     frame = frame or build_frame(p)
     n = frame.size
@@ -337,18 +332,17 @@ def reeb_field(p: int, frame: SLFrame | None = None) -> ReebResult:
     normalized_numerator = None
     if pairing:
         normalizer = 1 / pairing  # -2/p
-        normalized_numerator = numerator * (normalizer / 4)
-        pairing_norm = interior_product(normalized_numerator, frame.omega).as_poly()
+        scale = normalizer / 4  # contraction is linear in the field
+        normalized_numerator = numerator * scale
         rep.check(
             "normalized field pairs to exactly 1 (omega(R_norm) det = det)",
-            pairing_norm == frame.delta,
+            pairing_poly * scale == frame.delta,
             True,
             "derived",
         )
-        kernel_norm = interior_product(normalized_numerator, d_omega)
         rep.check(
             "i(R_norm) d omega ^ d(det) = 0 in the ambient ring",
-            kernel_norm == frame.d_delta * (normalizer / 2),
+            contraction * scale == frame.d_delta * (normalizer / 2),
             True,
             "derived",
         )

@@ -303,6 +303,7 @@ def test_malformed_budget_variable_is_a_usage_error_before_any_work(argv, value,
     captured = capsys.readouterr()
     assert captured.out == ""  # no suite ran
     assert "--max-terms" in captured.err and "Traceback" not in captured.err
+    assert f"CONTACTFORGE_MAX_TERMS is '{value}'" in captured.err
 
 
 def test_budget_variable_sets_the_default_and_the_flag_beats_it(monkeypatch, capsys):
@@ -382,10 +383,10 @@ def test_non_finite_or_non_positive_tolerance_exits_2_without_traceback(tol, cap
 
 
 def test_broken_frame_check_exits_1_with_an_error_line(monkeypatch, capsys):
-    monkeypatch.setattr(slcontact, "vf_bracket", lambda x, y: types.SimpleNamespace(is_zero=False))
+    monkeypatch.setattr(slcontact, "interior_product", lambda v, f: types.SimpleNamespace(is_zero=False))
     assert run(["verify-contact", "--p", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: [X, Y(1,1)] != 0")
+    assert err.startswith("error: X(1, 1) is not tangent to the det = 1 level set")
     assert "Traceback" not in err
 
 

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+import contactforge
 from contactforge import cli
 
 GOLDEN_SHA256 = {
@@ -26,6 +27,14 @@ SCAN_GOLDEN_SHA256 = {
     "t3-n1-3": (["--form", "t3", "--n1", "3"],
                 "c32d433393876b941b962156cd8b50de0ab6cdfa5022696591cd016c78a65cec"),
 }
+
+
+def test_pyproject_version_is_the_package_version():
+    """The report bytes embed __version__, so a bump must move pyproject.toml with it."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == contactforge.__version__
 
 
 # p = 3 (about 7 s) is checked once, through the full-audit script below

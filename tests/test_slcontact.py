@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from contactforge import linalg, slcontact
+from contactforge import exterior, linalg, slcontact
 from contactforge.errors import InternalCheckError, ParameterError
 from contactforge.exterior import Form, VField, covector_transport, ext_d, interior_product, wedge
 from contactforge.polyring import Poly, reduce_mod_principal, row_major_vars, symbolic_matrix
@@ -76,6 +76,16 @@ def test_build_frame_refuses_a_field_that_is_not_tangent(monkeypatch):
     monkeypatch.setattr(slcontact, "VField", skewed)
     with pytest.raises(InternalCheckError, match=r"X\(1, 1\) is not tangent"):
         build_frame(1)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_build_frame_forms_no_bracket(p, monkeypatch):
+    calls = []
+    bracket = exterior.vf_bracket
+    for module in (exterior, slcontact):
+        monkeypatch.setattr(module, "vf_bracket", lambda x, y: calls.append((x, y)) or bracket(x, y))
+    build_frame(p)
+    assert calls == []  # [X, Y] = 0 is decided once, in structural_checks
 
 
 def test_frame_counts(frame_p2):
@@ -145,6 +155,17 @@ def test_reeb_identities(p, frame_p1, frame_p2):
     assert quoted and quoted[0].verdict == REPORTED_ONLY
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_reeb_field_contracts_the_candidate_twice(p, request, monkeypatch):
+    frame = request.getfixturevalue(f"frame_p{p}")
+    calls = []
+    contract = exterior.interior_product
+    for module in (exterior, slcontact):
+        monkeypatch.setattr(module, "interior_product", lambda v, f: calls.append(f.degree) or contract(v, f))
+    assert reeb_field(p, frame).report.ok
+    assert sorted(calls) == [1, 2]  # omega and d omega; the claims on R_norm rescale these
+
+
 def test_reeb_contraction_example_p1(frame_p1):
     # omega(R) = -1/2 once the determinant prefactor is cleared
     result = reeb_field(1, frame_p1)
@@ -180,6 +201,15 @@ def test_structural_suite(p):
     by_anchor = {c.anchor: c for c in rep.claims}
     pattern = by_anchor["exact duality pattern (nonzero entries)"]
     assert pattern.computed == pattern.reference  # Kronecker delta
+
+
+def test_structural_checks_refute_a_diagonal_y_that_does_not_commute_with_x(frame_p1):
+    frame = dataclasses.replace(frame_p1, Y={**frame_p1.Y, (1, 1): frame_p1.X[(1, 2)]})
+    rep = structural_checks(1, frame)
+    claim = next(c for c in rep.claims if c.anchor.startswith("[X,Y] = 0"))
+    assert claim.verdict == REFUTED
+    # [X(1,1), X(1,2)] and [X(2,1), X(1,2)] are the sl(2) brackets [H, E] = 2E, [F, E] = -H
+    assert claim.computed == [((1, 1), (1, 1)), ((2, 1), (1, 1))]
 
 
 def test_duality_examples_p1(frame_p1):
