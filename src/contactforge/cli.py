@@ -214,7 +214,7 @@ SUITES: dict[str, Suite] = {
         "expand the top-degree contact identity", (1, 2, 3)),
     "reeb": Suite(
         lambda a, frame: reeb_field(a.p, frame()).report,
-        "audit the quoted Reeb field", ()),
+        "audit the quoted Reeb field", (1, 2, 3, 4)),
     "structural": Suite(
         lambda a, frame: structural_checks(a.p, frame()),
         "brackets, Lie derivatives, duality table", (1, 2, 3)),

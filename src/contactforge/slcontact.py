@@ -89,11 +89,14 @@ def build_frame(p: int) -> SLFrame:
     """Construct the frame and run its construction-time checks.
 
     X[k,l] = sum_i a[i,k] d/da[i,l] (with the diagonal fields relative to the
-    last column), Y is the row-wise mirror, alpha[k,l] = sum_i (-1)^(i+k)
-    A[i,k] da[i,l] with A the unsigned minors, and omega pairs consecutive
-    columns. Tangency X(det) = Y(det) = 0 is verified on the spot by
-    contraction, X(det) = i(X) d(det), once d(det) matches the cofactor
-    lemma; [X, Y] = 0 is left to structural_checks, which claims it.
+    last column), Y is the row-wise mirror, and omega pairs consecutive
+    columns. The signed cofactors C[i,j] = (-1)^(i+j) A[i,j], A the unsigned
+    minors, are one table, each odd-signed minor negated once: d_delta =
+    sum C[i,j] da[i,j], and alpha[k,l] = sum_i C[i,k] da[i,l] holds the same
+    Poly objects. The cofactor lemma d(det) = d_delta is checked one partial
+    derivative at a time. Tangency X(det) = Y(det) = 0 is then verified by
+    contraction, X(det) = i(X) d(det); [X, Y] = 0 is left to
+    structural_checks, which claims it.
     """
     if p < 1:
         raise ParameterError("p must be >= 1")
@@ -101,6 +104,10 @@ def build_frame(p: int) -> SLFrame:
     mat = symbolic_matrix(n)
     delta = determinant(mat)
     minors = minor_table(mat)
+    cofactors = {ij: m if sum(ij) % 2 == 0 else -m for ij, m in minors.items()}
+    if any(delta.diff(var) != c for var, c in cofactors.items()):
+        raise InternalCheckError("d(det) does not match the signed-cofactor expansion")
+    d_delta = Form(n, 1, {(var,): c for var, c in cofactors.items()})
     a = lambda i, j: Poly.variable(n, i, j)
 
     x_fields: dict[FrameIndex, VField] = {}
@@ -115,15 +122,8 @@ def build_frame(p: int) -> SLFrame:
             x_fields[(k, l)] = VField(n, {(i, l): a(i, k) for i in range(1, n + 1)})
             y_fields[(k, l)] = VField(n, {(k, i): a(l, i) for i in range(1, n + 1)})
 
-    alpha: dict[FrameIndex, Form] = {}
-    for k, l in sl_basis_indices(2 * p):
-        terms = {}
-        for i in range(1, n + 1):
-            coeff = minors[(i, k)]
-            if (i + k) % 2:
-                coeff = -coeff
-            terms[((i, l),)] = coeff
-        alpha[(k, l)] = Form(n, 1, terms)
+    alpha = {(k, l): Form(n, 1, {((i, l),): cofactors[(i, k)] for i in range(1, n + 1)})
+             for k, l in sl_basis_indices(n)}
 
     omega_terms: dict[tuple[Var, ...], Poly] = {}
     for i in range(1, n + 1):
@@ -131,19 +131,6 @@ def build_frame(p: int) -> SLFrame:
             omega_terms[((i, 2 * j - 1),)] = a(i, 2 * j)
             omega_terms[((i, 2 * j),)] = -a(i, 2 * j - 1)
     omega = Form(n, 1, omega_terms)
-
-    d_delta = ext_d(Form.from_poly(delta))
-    lemma_form = Form(
-        n,
-        1,
-        {
-            ((i, j),): (minors[(i, j)] if (i + j) % 2 == 0 else -minors[(i, j)])
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-        },
-    )
-    if d_delta != lemma_form:
-        raise InternalCheckError("d(det) does not match the signed-cofactor expansion")
 
     for kl, x in x_fields.items():
         if not interior_product(x, d_delta).is_zero:
@@ -274,6 +261,8 @@ class ReebResult:
 def reeb_field(p: int, frame: SLFrame | None = None) -> ReebResult:
     """Audit the quoted Reeb candidate and normalize it.
 
+    The numerator is d(det) turned by J, read off frame.d_delta's signed
+    cofactors C: -C[i,2j] on d/da[i,2j-1] and C[i,2j-1] itself on d/da[i,2j].
     The candidate R = numerator / (4 det) is checked by exact contraction:
     i(4 det R) d omega = 2 d(det) and omega(4 det R) = -2p det, so
     omega(R) = -p/2 and R_norm = normalizer * R with normalizer = -2/p.
@@ -288,12 +277,12 @@ def reeb_field(p: int, frame: SLFrame | None = None) -> ReebResult:
     n = frame.size
     rep = VerifyReport("reeb", {"p": p})
 
+    cofactor = frame.d_delta.terms  # C[i,j] on da[i,j]
     coeffs: dict[Var, Poly] = {}
     for i in range(1, n + 1):
-        sign = 1 if i % 2 == 1 else -1
         for j in range(1, p + 1):
-            coeffs[(i, 2 * j - 1)] = frame.minors[(i, 2 * j)] * sign
-            coeffs[(i, 2 * j)] = frame.minors[(i, 2 * j - 1)] * sign
+            coeffs[(i, 2 * j - 1)] = -cofactor[((i, 2 * j),)]
+            coeffs[(i, 2 * j)] = cofactor[((i, 2 * j - 1),)]
     numerator = VField(n, coeffs)  # equals 4 * det * R_candidate
 
     d_omega = ext_d(frame.omega)
@@ -557,10 +546,12 @@ def _in_h(y: linalg.Mat) -> bool:
 def left_locus_equations(frame: SLFrame) -> dict[Var, Poly]:
     """Coefficient differences of the left-transported identity covector vs omega.
 
-    Up to sign these are exactly a[i,j] - (-1)^(i+j) A[i,j]; the signed match
-    is verified here so downstream point checks can rely on it.
+    Up to sign these are exactly a[i,j] - (-1)^(i+j) A[i,j], the signed
+    cofactor read from frame.d_delta; the signed match is verified here so
+    downstream point checks can rely on it.
     """
     n = frame.size
+    cofactor = frame.d_delta.terms
     mat = symbolic_matrix(n)
     omega_e = frame.omega.evaluate_coefficients(identity_point(n))
     transported = covector_transport(mat, "left", omega_e)
@@ -572,9 +563,7 @@ def left_locus_equations(frame: SLFrame) -> dict[Var, Poly]:
             # the difference on da[i,j] involves the partner column of the
             # symplectic pair (2k-1, 2k), not column j itself
             pj = j + 1 if j % 2 == 1 else j - 1
-            stated = Poly.variable(n, i, pj) - (
-                frame.minors[(i, pj)] if (i + pj) % 2 == 0 else -frame.minors[(i, pj)]
-            )
+            stated = Poly.variable(n, i, pj) - cofactor[((i, pj),)]
             if eq != stated and eq != -stated:
                 raise InternalCheckError(
                     f"left locus equation on da[{i},{j}] is not +-(a - cofactor)"

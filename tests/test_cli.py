@@ -1,5 +1,6 @@
 """Command-line contract: subcommands, exit codes, JSON determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -193,24 +194,46 @@ def test_u_decomp_cli():
     assert run(["u-decomp", "--p", "1"]) == 0
 
 
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+def _run_capped(argv, mib, out):
+    """Run the CLI with `--json out` in a child process whose address space is
+    capped at `mib` MiB; return the child's exit status and stderr."""
+    src = pathlib.Path(__file__).parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "contactforge.cli", *argv, "--json", str(out)],
+        env=env, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20)),
+        capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stderr
 
 
 @pytest.mark.parametrize("suite, confirmed", [("u-decomp", 3), ("reeb", 4)], ids=["u-decomp", "reeb"])
 def test_p3_suite_under_256_mib(suite, confirmed, tmp_path):
     """A p = 3 suite through the CLI, in a child process capped at 256 MiB."""
     out = tmp_path / "s3.json"
-    src = pathlib.Path(__file__).parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "contactforge.cli", suite, "--p", "3", "--json", str(out)],
-        env=env, preexec_fn=_limit_address_space, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    status, err = _run_capped([suite, "--p", "3"], 256, out)
+    assert status == 0, err
     verdicts = [c["verdict"] for c in json.loads(out.read_text())["claims"]]
     assert sorted(verdicts) == ["confirmed"] * confirmed + ["reported-only"]
+
+
+def test_reeb_p4_under_320_mib_matches_its_golden(tmp_path):
+    """reeb at p = 4 (SL(8), 64 variables) through the CLI, in a child capped
+    at 320 MiB: the frame holds each signed cofactor once."""
+    out = tmp_path / "reeb4.json"
+    status, err = _run_capped(["reeb", "--p", "4"], 320, out)
+    assert status == 0, err
+    verdicts = [c["verdict"] for c in json.loads(out.read_text())["claims"]]
+    assert sorted(verdicts) == ["confirmed"] * 4 + ["reported-only"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "686adc38a3cf4fbdb4d2f522a4d76e52e6d394bbf749bec03f2bfa2329ddddb8")
+
+
+def test_reeb_refuses_p5_as_a_usage_error(capsys):
+    """build_frame(5) would hold 100 minors of 9! terms each: refused by argparse."""
+    assert run(["reeb", "--p", "5"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_json_byte_determinism(tmp_path):
@@ -387,6 +410,22 @@ def test_broken_frame_check_exits_1_with_an_error_line(monkeypatch, capsys):
     assert run(["verify-contact", "--p", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: X(1, 1) is not tangent to the det = 1 level set")
+    assert "Traceback" not in err
+
+
+def test_a_wrong_signed_cofactor_fails_the_lemma_check_and_exits_1(monkeypatch, capsys):
+    minor_table = slcontact.minor_table
+
+    def with_one_minor_negated(mat):
+        minors = minor_table(mat)
+        return {**minors, (1, 2): -minors[(1, 2)]}
+
+    monkeypatch.setattr(slcontact, "minor_table", with_one_minor_negated)
+    with pytest.raises(InternalCheckError, match=r"^d\(det\) does not match the signed-cofactor expansion$"):
+        slcontact.build_frame(2)
+    assert run(["reeb", "--p", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: d(det) does not match the signed-cofactor expansion")
     assert "Traceback" not in err
 
 

@@ -92,6 +92,22 @@ def test_frame_counts(frame_p2):
     assert len(frame_p2.X) == len(frame_p2.Y) == len(frame_p2.alpha) == 15
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_alpha_and_d_delta_share_one_signed_cofactor_table(p, request):
+    """alpha[k,l] = sum_i C[i,k] da[i,l] holds d(det)'s da[i,k] coefficient
+    itself, so alpha and d(det) together hold the n^2 cofactors and no copy."""
+    frame = request.getfixturevalue(f"frame_p{p}")
+    n = frame.size
+    cofactor = frame.d_delta.terms
+    for (i, k), minor in frame.minors.items():
+        assert cofactor[((i, k),)] == minor * (-1) ** (i + k)
+    for (k, l), form in frame.alpha.items():
+        for i in range(1, n + 1):
+            assert form.coefficient(((i, l),)) is cofactor[((i, k),)]
+    held = {id(c) for form in [*frame.alpha.values(), frame.d_delta] for c in form.terms.values()}
+    assert len(held) == n * n
+
+
 def test_omega_at_identity(frame_p1):
     omega_e = frame_p1.omega.evaluate_coefficients(identity_point(2))
     assert omega_e == Form(
@@ -164,6 +180,19 @@ def test_reeb_field_contracts_the_candidate_twice(p, request, monkeypatch):
         monkeypatch.setattr(module, "interior_product", lambda v, f: calls.append(f.degree) or contract(v, f))
     assert reeb_field(p, frame).report.ok
     assert sorted(calls) == [1, 2]  # omega and d omega; the claims on R_norm rescale these
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_reeb_numerator_is_d_delta_turned_by_j(p, request):
+    """-C[i,2j] on d/da[i,2j-1] and C[i,2j-1] itself on d/da[i,2j]."""
+    frame = request.getfixturevalue(f"frame_p{p}")
+    cofactor = frame.d_delta.terms
+    coeffs = reeb_field(p, frame).numerator.coeffs
+    assert len(coeffs) == frame.size ** 2
+    for i in range(1, frame.size + 1):
+        for j in range(1, p + 1):
+            assert coeffs[(i, 2 * j)] is cofactor[((i, 2 * j - 1),)]
+            assert coeffs[(i, 2 * j - 1)] == -cofactor[((i, 2 * j),)]
 
 
 def test_reeb_contraction_example_p1(frame_p1):
